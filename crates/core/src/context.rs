@@ -44,16 +44,9 @@ impl Context {
     /// distinct — the standard freshness precondition.
     #[must_use]
     pub fn fresh_and_distinct(&self, ids: &[Id]) -> bool {
-        let declared = self.module.declared_ids();
-        for (i, id) in ids.iter().enumerate() {
-            if id.is_placeholder() || declared.contains(id) {
-                return false;
-            }
-            if ids[..i].contains(id) {
-                return false;
-            }
-        }
-        true
+        ids.iter().enumerate().all(|(i, &id)| {
+            !id.is_placeholder() && !ids[..i].contains(&id) && !self.module.declares(id)
+        })
     }
 
     /// Returns `true` if the value `id` is available immediately before the

@@ -35,7 +35,11 @@
 //! and changes no verdict, only the amount of work spent reaching it.
 //!
 //! An LRU budget bounds the number of cached edges (each holds one context
-//! clone). A budget of 0 disables the cache entirely — the serial
+//! clone). Eviction takes the edge whose last walk is oldest, and among the
+//! edges of one walk the deepest first: shallow edges root every later
+//! candidate, deep ones only those sharing a long prefix. The order depends
+//! on nothing but the walks, so the cache's counters repeat exactly from
+//! run to run. A budget of 0 disables the cache entirely — the serial
 //! reference behavior, with no fingerprint hashing on the probe path; a
 //! budget of 1 still wins whenever consecutive candidates extend each
 //! other.
@@ -44,7 +48,8 @@
 //! pass the same `original` context, whose fingerprint roots the chain and
 //! is computed once.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 use trx_observe::{Counter, Scope, SinkHandle};
@@ -90,9 +95,14 @@ struct Edge {
     applied: bool,
     /// Fingerprint of `context`.
     fp: u64,
-    /// LRU clock value of the last walk that used or created this edge.
-    last_used: u64,
+    /// Where this edge stands in the eviction order.
+    recency: Recency,
 }
+
+/// Eviction order key: the clock value of the last walk that used or
+/// created an edge, then its depth in that walk, deepest first. One walk
+/// touches one edge per depth, so keys are unique.
+type Recency = (u64, Reverse<usize>);
 
 /// Where the materialization walk currently stands.
 enum Carrier {
@@ -113,6 +123,8 @@ pub struct PrefixCache {
     clock: u64,
     root_fp: Option<u64>,
     edges: HashMap<(u64, u64), Edge>,
+    /// Every edge's key by [`Recency`]: the first entry is evicted next.
+    order: BTreeMap<Recency, (u64, u64)>,
     stats: PrefixCacheStats,
     sink: SinkHandle,
     sink_scope: Scope,
@@ -131,6 +143,7 @@ impl PrefixCache {
             clock: 0,
             root_fp: None,
             edges: HashMap::new(),
+            order: BTreeMap::new(),
             stats: PrefixCacheStats::default(),
             sink: SinkHandle::noop(),
             sink_scope: Scope::Pipeline,
@@ -204,12 +217,15 @@ impl PrefixCache {
         let mut carrier = Carrier::Root;
         let mut mask = Vec::with_capacity(candidate.len());
         let mut reused_any = false;
-        for (t, &id) in candidate.iter().zip(ids) {
+        for (depth, (t, &id)) in candidate.iter().zip(ids).enumerate() {
             let key = (state_fp, id);
+            let recency = (clock, Reverse(depth));
             if let Some(edge) = self.edges.get_mut(&key) {
                 // On (or re-joining) the cached frontier: the edge stands
                 // in for the application, whatever carrier we arrived with.
-                edge.last_used = clock;
+                self.order.remove(&edge.recency);
+                self.order.insert(recency, key);
+                edge.recency = recency;
                 mask.push(edge.applied);
                 state_fp = edge.fp;
                 carrier = Carrier::Chain(key);
@@ -227,7 +243,7 @@ impl PrefixCache {
             // A skipped transformation leaves the context — and therefore
             // its fingerprint — untouched.
             let fp = if applied { context_fingerprint(&ctx) } else { state_fp };
-            self.insert(key, Edge { context: ctx.clone(), applied, fp, last_used: clock });
+            self.insert(key, Edge { context: ctx.clone(), applied, fp, recency });
             mask.push(applied);
             state_fp = fp;
             carrier = Carrier::Owned(Box::new(ctx));
@@ -269,15 +285,17 @@ impl PrefixCache {
     }
 
     fn insert(&mut self, key: (u64, u64), edge: Edge) {
-        self.edges.insert(key, edge);
+        let recency = edge.recency;
+        if let Some(old) = self.edges.insert(key, edge) {
+            self.order.remove(&old.recency);
+        }
+        self.order.insert(recency, key);
         while self.edges.len() > self.budget {
-            let lru = self
-                .edges
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("non-empty over-budget cache has an LRU edge");
-            self.edges.remove(&lru);
+            let (_, victim) = self
+                .order
+                .pop_first()
+                .expect("an over-budget cache orders every edge");
+            self.edges.remove(&victim);
             self.stats.evictions += 1;
         }
     }
@@ -443,6 +461,47 @@ mod tests {
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.transformations_saved, 0);
         assert_eq!(stats.transformations_applied, 10);
+    }
+
+    #[test]
+    fn eviction_is_deterministic() {
+        // A budget below one walk's length makes walks evict edges that
+        // share one clock value, so the tie-break alone decides which
+        // prefixes later candidates find cached.
+        let original = tiny_context();
+        let sequence = add_consts(&original, 12);
+        let run = || {
+            let mut cache = PrefixCache::new(6);
+            for _ in 0..4 {
+                for len in [12, 6, 9, 3] {
+                    let _ = cache.materialize(&original, &sequence[..len]);
+                }
+            }
+            cache.stats()
+        };
+        let first = run();
+        assert!(first.evictions > 0 && first.hits > 0, "{first:?}");
+        for _ in 0..8 {
+            assert_eq!(run(), first);
+        }
+    }
+
+    #[test]
+    fn eviction_takes_the_deepest_edge_of_the_oldest_walk() {
+        let original = tiny_context();
+        let sequence = add_consts(&original, 4);
+        let mut cache = PrefixCache::new(3);
+        // Walk 1 caches depths 0, 1 and 2. Walk 2 reuses depth 0 and adds
+        // a new depth-1 edge, evicting walk 1's deepest edge (depth 2)
+        // rather than its depth-1 edge.
+        let _ = cache.materialize(&original, &sequence[..3]);
+        let _ = cache.materialize(&original, &[sequence[0].clone(), sequence[3].clone()]);
+        assert_eq!(cache.stats().evictions, 1);
+        let before = cache.stats();
+        let _ = cache.materialize(&original, &sequence[..2]);
+        let after = cache.stats();
+        assert_eq!(after.transformations_saved, before.transformations_saved + 2);
+        assert_eq!(after.transformations_applied, before.transformations_applied);
     }
 
     #[test]

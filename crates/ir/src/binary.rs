@@ -153,36 +153,81 @@ fn control_from(code: u32, offset: usize) -> Result<FunctionControl, DecodeError
         .ok_or_else(|| DecodeError::new(offset, format!("bad function control {code}")))
 }
 
-struct Writer {
-    words: Vec<u32>,
+/// Where the encoder writes its word stream: a `Vec` for [`encode`], or a
+/// hasher for [`crate::hash::module_fingerprint`], which so digests exactly
+/// the stream `encode` returns without building it.
+pub(crate) trait WordSink {
+    /// Appends one word to the stream.
+    fn word(&mut self, word: u32);
 }
 
-impl Writer {
-    fn instruction(&mut self, opcode: u16, operands: &[u32]) {
-        let word_count = u32::try_from(operands.len() + 1).expect("instruction too long");
-        self.words.push((word_count << 16) | u32::from(opcode));
-        self.words.extend_from_slice(operands);
+impl WordSink for Vec<u32> {
+    fn word(&mut self, word: u32) {
+        self.push(word);
+    }
+}
+
+struct Writer<'a, S> {
+    out: &'a mut S,
+}
+
+impl<S: WordSink> Writer<'_, S> {
+    /// Writes the first word of an instruction with `operands` operand
+    /// words; the caller writes those next.
+    fn begin(&mut self, opcode: u16, operands: usize) {
+        let word_count = u32::try_from(operands + 1).expect("instruction too long");
+        self.out.word((word_count << 16) | u32::from(opcode));
     }
 
-    fn string_words(s: &str) -> Vec<u32> {
+    fn words(&mut self, words: impl IntoIterator<Item = u32>) {
+        for word in words {
+            self.out.word(word);
+        }
+    }
+
+    fn instruction(&mut self, opcode: u16, operands: &[u32]) {
+        self.begin(opcode, operands.len());
+        self.words(operands.iter().copied());
+    }
+
+    /// An instruction whose operands are `head` followed by the ids `tail`.
+    fn instruction_with_ids(&mut self, opcode: u16, head: &[u32], tail: &[Id]) {
+        self.begin(opcode, head.len() + tail.len());
+        self.words(head.iter().copied());
+        self.words(tail.iter().map(|id| id.raw()));
+    }
+
+    fn string(&mut self, s: &str) {
         // Null-terminated UTF-8 packed little-endian into words, SPIR-V
         // style: always at least one terminating zero byte.
-        let mut bytes = s.as_bytes().to_vec();
-        bytes.push(0);
-        while !bytes.len().is_multiple_of(4) {
-            bytes.push(0);
+        let mut chunks = s.as_bytes().chunks_exact(4);
+        for c in &mut chunks {
+            self.out.word(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
         }
-        bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect()
+        let rest = chunks.remainder();
+        let mut last = [0u8; 4];
+        last[..rest.len()].copy_from_slice(rest);
+        self.out.word(u32::from_le_bytes(last));
     }
+}
+
+/// Number of words [`Writer::string`] writes for `s`.
+fn string_len(s: &str) -> usize {
+    s.len() / 4 + 1
 }
 
 /// Encodes `module` as a word stream.
 #[must_use]
 pub fn encode(module: &Module) -> Vec<u32> {
-    let mut w = Writer { words: vec![MAGIC, VERSION, module.id_bound, 0] };
+    let mut words = Vec::new();
+    encode_into(module, &mut words);
+    words
+}
+
+/// Writes `module`'s word stream, as [`encode`] returns it, into `out`.
+pub(crate) fn encode_into(module: &Module, out: &mut impl WordSink) {
+    let mut w = Writer { out };
+    w.words([MAGIC, VERSION, module.id_bound, 0]);
     for decl in &module.types {
         encode_type(&mut w, decl);
     }
@@ -190,15 +235,13 @@ pub fn encode(module: &Module) -> Vec<u32> {
         encode_constant(&mut w, c);
     }
     for g in &module.globals {
-        let mut operands = vec![g.ty.raw(), g.id.raw(), storage_code(g.storage)];
+        let (ty, id, storage) = (g.ty.raw(), g.id.raw(), storage_code(g.storage));
         match g.initializer {
             Some(init) => {
-                operands.push(1);
-                operands.push(init.raw());
+                w.instruction(opcode::GLOBAL_VARIABLE, &[ty, id, storage, 1, init.raw()]);
             }
-            None => operands.push(0),
+            None => w.instruction(opcode::GLOBAL_VARIABLE, &[ty, id, storage, 0]),
         }
-        w.instruction(opcode::GLOBAL_VARIABLE, &operands);
     }
     w.instruction(opcode::ENTRY_POINT, &[module.entry_point.raw()]);
     for (kind, bindings) in [
@@ -207,18 +250,17 @@ pub fn encode(module: &Module) -> Vec<u32> {
         (2, &module.interface.outputs),
     ] {
         for b in bindings {
-            let mut operands = vec![kind, b.global.raw()];
-            operands.extend(Writer::string_words(&b.name));
-            w.instruction(opcode::INTERFACE, &operands);
+            w.begin(opcode::INTERFACE, 2 + string_len(&b.name));
+            w.words([kind, b.global.raw()]);
+            w.string(&b.name);
         }
     }
     for f in &module.functions {
         encode_function(&mut w, f);
     }
-    w.words
 }
 
-fn encode_type(w: &mut Writer, decl: &TypeDecl) {
+fn encode_type(w: &mut Writer<'_, impl WordSink>, decl: &TypeDecl) {
     let id = decl.id.raw();
     match &decl.ty {
         Type::Void => w.instruction(opcode::TYPE_VOID, &[id]),
@@ -231,23 +273,17 @@ fn encode_type(w: &mut Writer, decl: &TypeDecl) {
         Type::Array { element, len } => {
             w.instruction(opcode::TYPE_ARRAY, &[id, element.raw(), *len]);
         }
-        Type::Struct { members } => {
-            let mut operands = vec![id];
-            operands.extend(members.iter().map(|m| m.raw()));
-            w.instruction(opcode::TYPE_STRUCT, &operands);
-        }
+        Type::Struct { members } => w.instruction_with_ids(opcode::TYPE_STRUCT, &[id], members),
         Type::Pointer { storage, pointee } => {
             w.instruction(opcode::TYPE_POINTER, &[id, storage_code(*storage), pointee.raw()]);
         }
         Type::Function { ret, params } => {
-            let mut operands = vec![id, ret.raw()];
-            operands.extend(params.iter().map(|p| p.raw()));
-            w.instruction(opcode::TYPE_FUNCTION, &operands);
+            w.instruction_with_ids(opcode::TYPE_FUNCTION, &[id, ret.raw()], params);
         }
     }
 }
 
-fn encode_constant(w: &mut Writer, c: &ConstantDecl) {
+fn encode_constant(w: &mut Writer<'_, impl WordSink>, c: &ConstantDecl) {
     let (ty, id) = (c.ty.raw(), c.id.raw());
     match &c.value {
         ConstantValue::Bool(v) => {
@@ -260,14 +296,12 @@ fn encode_constant(w: &mut Writer, c: &ConstantDecl) {
             w.instruction(opcode::CONSTANT_FLOAT, &[ty, id, *bits]);
         }
         ConstantValue::Composite(parts) => {
-            let mut operands = vec![ty, id];
-            operands.extend(parts.iter().map(|p| p.raw()));
-            w.instruction(opcode::CONSTANT_COMPOSITE, &operands);
+            w.instruction_with_ids(opcode::CONSTANT_COMPOSITE, &[ty, id], parts);
         }
     }
 }
 
-fn encode_function(w: &mut Writer, f: &Function) {
+fn encode_function(w: &mut Writer<'_, impl WordSink>, f: &Function) {
     w.instruction(opcode::FUNCTION, &[f.id.raw(), f.ty.raw(), control_code(f.control)]);
     for p in &f.params {
         w.instruction(opcode::FUNCTION_PARAMETER, &[p.id.raw(), p.ty.raw()]);
@@ -298,7 +332,7 @@ fn result_pair(inst: &Instruction) -> [u32; 2] {
     ]
 }
 
-fn encode_body_instruction(w: &mut Writer, inst: &Instruction) {
+fn encode_body_instruction(w: &mut Writer<'_, impl WordSink>, inst: &Instruction) {
     let [ty, id] = result_pair(inst);
     match &inst.op {
         Op::Undef => w.instruction(opcode::UNDEF, &[ty, id]),
@@ -316,58 +350,45 @@ fn encode_body_instruction(w: &mut Writer, inst: &Instruction) {
             );
         }
         Op::CompositeConstruct { parts } => {
-            let mut operands = vec![ty, id];
-            operands.extend(parts.iter().map(|p| p.raw()));
-            w.instruction(opcode::COMPOSITE_CONSTRUCT, &operands);
+            w.instruction_with_ids(opcode::COMPOSITE_CONSTRUCT, &[ty, id], parts);
         }
         Op::CompositeExtract { composite, indices } => {
-            let mut operands = vec![ty, id, composite.raw()];
-            operands.extend(indices.iter().copied());
-            w.instruction(opcode::COMPOSITE_EXTRACT, &operands);
+            w.begin(opcode::COMPOSITE_EXTRACT, 3 + indices.len());
+            w.words([ty, id, composite.raw()]);
+            w.words(indices.iter().copied());
         }
         Op::CompositeInsert { object, composite, indices } => {
-            let mut operands = vec![ty, id, object.raw(), composite.raw()];
-            operands.extend(indices.iter().copied());
-            w.instruction(opcode::COMPOSITE_INSERT, &operands);
+            w.begin(opcode::COMPOSITE_INSERT, 4 + indices.len());
+            w.words([ty, id, object.raw(), composite.raw()]);
+            w.words(indices.iter().copied());
         }
         Op::Variable { storage, initializer } => {
-            let mut operands = vec![ty, id, storage_code(*storage)];
+            let storage = storage_code(*storage);
             match initializer {
-                Some(init) => {
-                    operands.push(1);
-                    operands.push(init.raw());
-                }
-                None => operands.push(0),
+                Some(init) => w.instruction(opcode::VARIABLE, &[ty, id, storage, 1, init.raw()]),
+                None => w.instruction(opcode::VARIABLE, &[ty, id, storage, 0]),
             }
-            w.instruction(opcode::VARIABLE, &operands);
         }
         Op::AccessChain { base, indices } => {
-            let mut operands = vec![ty, id, base.raw()];
-            operands.extend(indices.iter().map(|i| i.raw()));
-            w.instruction(opcode::ACCESS_CHAIN, &operands);
+            w.instruction_with_ids(opcode::ACCESS_CHAIN, &[ty, id, base.raw()], indices);
         }
         Op::Load { pointer } => w.instruction(opcode::LOAD, &[ty, id, pointer.raw()]),
         Op::Store { pointer, value } => {
             w.instruction(opcode::STORE, &[pointer.raw(), value.raw()]);
         }
         Op::Call { callee, args } => {
-            let mut operands = vec![ty, id, callee.raw()];
-            operands.extend(args.iter().map(|a| a.raw()));
-            w.instruction(opcode::CALL, &operands);
+            w.instruction_with_ids(opcode::CALL, &[ty, id, callee.raw()], args);
         }
         Op::Phi { incoming } => {
-            let mut operands = vec![ty, id];
-            for (value, pred) in incoming {
-                operands.push(value.raw());
-                operands.push(pred.raw());
-            }
-            w.instruction(opcode::PHI, &operands);
+            w.begin(opcode::PHI, 2 + 2 * incoming.len());
+            w.words([ty, id]);
+            w.words(incoming.iter().flat_map(|(value, pred)| [value.raw(), pred.raw()]));
         }
         Op::Nop => w.instruction(opcode::NOP, &[]),
     }
 }
 
-fn encode_terminator(w: &mut Writer, t: &Terminator) {
+fn encode_terminator(w: &mut Writer<'_, impl WordSink>, t: &Terminator) {
     match t {
         Terminator::Branch { target } => w.instruction(opcode::BRANCH, &[target.raw()]),
         Terminator::BranchConditional { cond, true_target, false_target } => {

@@ -5,18 +5,38 @@
 //! and the preconditions of control-flow transformations such as
 //! `MoveBlockDown` ("a block must appear before all blocks it dominates").
 
-use std::collections::HashMap;
+use crate::{Function, Id, Terminator};
 
-use crate::{Function, Id};
+/// The labels `terminator` may branch to, as [`Terminator::targets`] lists
+/// them, without allocating.
+pub(crate) fn branch_targets(terminator: &Terminator) -> impl Iterator<Item = Id> {
+    let (first, second) = match *terminator {
+        Terminator::Branch { target } => (Some(target), None),
+        Terminator::BranchConditional { true_target, false_target, .. } => {
+            (Some(true_target), Some(false_target))
+        }
+        Terminator::Return
+        | Terminator::ReturnValue { .. }
+        | Terminator::Kill
+        | Terminator::Unreachable => (None, None),
+    };
+    first.into_iter().chain(second)
+}
 
 /// The control-flow graph of a function, with blocks addressed by dense
 /// indexes in syntactic order.
 #[derive(Debug, Clone)]
 pub struct Cfg {
     labels: Vec<Id>,
-    index: HashMap<Id, usize>,
-    succs: Vec<Vec<usize>>,
-    preds: Vec<Vec<usize>>,
+    /// `(label, block index)` sorted by label. A label carried by several
+    /// blocks (only in invalid functions) resolves to the last of them.
+    index: Vec<(Id, usize)>,
+    /// Block `i`'s successors are `succs[succ_start[i]..succ_start[i + 1]]`,
+    /// in terminator order; its predecessors likewise, in block order.
+    succ_start: Vec<usize>,
+    succs: Vec<usize>,
+    pred_start: Vec<usize>,
+    preds: Vec<usize>,
 }
 
 impl Cfg {
@@ -24,19 +44,48 @@ impl Cfg {
     #[must_use]
     pub fn new(function: &Function) -> Self {
         let labels: Vec<Id> = function.blocks.iter().map(|b| b.label).collect();
-        let index: HashMap<Id, usize> =
+        let mut index: Vec<(Id, usize)> =
             labels.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        let mut succs = vec![Vec::new(); labels.len()];
-        let mut preds = vec![Vec::new(); labels.len()];
-        for (i, block) in function.blocks.iter().enumerate() {
-            for target in block.successors() {
-                if let Some(&j) = index.get(&target) {
-                    succs[i].push(j);
-                    preds[j].push(i);
+        // Stable, so equal labels stay in block order and the last one wins.
+        index.sort_by_key(|&(label, _)| label);
+        index.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        let n = labels.len();
+        let mut cfg = Cfg {
+            labels,
+            index,
+            succ_start: Vec::with_capacity(n + 1),
+            succs: Vec::with_capacity(2 * n),
+            pred_start: vec![0; n + 1],
+            preds: Vec::new(),
+        };
+        cfg.succ_start.push(0);
+        for block in &function.blocks {
+            for target in branch_targets(&block.terminator) {
+                if let Some(j) = cfg.index_of(target) {
+                    cfg.succs.push(j);
+                    cfg.pred_start[j + 1] += 1;
                 }
             }
+            cfg.succ_start.push(cfg.succs.len());
         }
-        Cfg { labels, index, succs, preds }
+        for j in 0..n {
+            cfg.pred_start[j + 1] += cfg.pred_start[j];
+        }
+        let mut next = cfg.pred_start[..n].to_vec();
+        cfg.preds = vec![0; cfg.succs.len()];
+        for i in 0..n {
+            for &j in &cfg.succs[cfg.succ_start[i]..cfg.succ_start[i + 1]] {
+                cfg.preds[next[j]] = i;
+                next[j] += 1;
+            }
+        }
+        cfg
     }
 
     /// Number of blocks.
@@ -60,19 +109,20 @@ impl Cfg {
     /// The dense index of `label`, if it names a block.
     #[must_use]
     pub fn index_of(&self, label: Id) -> Option<usize> {
-        self.index.get(&label).copied()
+        let i = self.index.binary_search_by_key(&label, |&(l, _)| l).ok()?;
+        Some(self.index[i].1)
     }
 
     /// Successor indexes of block `i`.
     #[must_use]
     pub fn successors(&self, i: usize) -> &[usize] {
-        &self.succs[i]
+        &self.succs[self.succ_start[i]..self.succ_start[i + 1]]
     }
 
     /// Predecessor indexes of block `i`.
     #[must_use]
     pub fn predecessors(&self, i: usize) -> &[usize] {
-        &self.preds[i]
+        &self.preds[self.pred_start[i]..self.pred_start[i + 1]]
     }
 
     /// Blocks in reverse postorder from the entry. Unreachable blocks are
@@ -91,8 +141,9 @@ impl Cfg {
         let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
         visited[0] = true;
         while let Some(&mut (node, ref mut cursor)) = stack.last_mut() {
-            if *cursor < self.succs[node].len() {
-                let next = self.succs[node][self.succs[node].len() - 1 - *cursor];
+            let succs = self.successors(node);
+            if *cursor < succs.len() {
+                let next = succs[succs.len() - 1 - *cursor];
                 *cursor += 1;
                 if !visited[next] {
                     visited[next] = true;

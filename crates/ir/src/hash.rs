@@ -124,14 +124,18 @@ impl StableHasher {
     }
 }
 
+impl binary::WordSink for StableHasher {
+    fn word(&mut self, word: u32) {
+        self.write_u32(word);
+    }
+}
+
 /// Structural 64-bit fingerprint of `module`: FNV-1a over its canonical
-/// [`binary::encode`] word stream.
+/// [`binary::encode`] word stream, hashed as the encoder writes it.
 #[must_use]
 pub fn module_fingerprint(module: &Module) -> u64 {
     let mut h = StableHasher::new();
-    for word in binary::encode(module) {
-        h.write_u32(word);
-    }
+    binary::encode_into(module, &mut h);
     h.finish()
 }
 

@@ -1,5 +1,3 @@
-use std::collections::HashSet;
-
 use serde::{Deserialize, Serialize};
 
 use crate::{
@@ -201,41 +199,27 @@ impl Module {
         self.find_result(id).and_then(|(_, inst)| inst.ty)
     }
 
-    /// Collects every id the module declares (types, constants, globals,
-    /// functions, parameters, block labels and instruction results).
-    pub fn declared_ids(&self) -> HashSet<Id> {
-        let mut ids = HashSet::new();
-        for d in &self.types {
-            ids.insert(d.id);
-        }
-        for c in &self.constants {
-            ids.insert(c.id);
-        }
-        for g in &self.globals {
-            ids.insert(g.id);
-        }
-        for f in &self.functions {
-            ids.insert(f.id);
-            for p in &f.params {
-                ids.insert(p.id);
-            }
-            for b in &f.blocks {
-                ids.insert(b.label);
-                for inst in &b.instructions {
-                    if let Some(r) = inst.result {
-                        ids.insert(r);
-                    }
-                }
-            }
-        }
-        ids
+    /// Returns `true` if the module declares `id` as a type, constant,
+    /// global, function, parameter, block label or instruction result.
+    #[must_use]
+    pub fn declares(&self, id: Id) -> bool {
+        self.types.iter().any(|d| d.id == id)
+            || self.constants.iter().any(|c| c.id == id)
+            || self.globals.iter().any(|g| g.id == id)
+            || self.functions.iter().any(|f| {
+                f.id == id
+                    || f.params.iter().any(|p| p.id == id)
+                    || f.blocks.iter().any(|b| {
+                        b.label == id || b.instructions.iter().any(|i| i.result == Some(id))
+                    })
+            })
     }
 
     /// Returns `true` if `id` is unused: strictly below the bound check is
     /// not required, only that nothing declares it.
     #[must_use]
     pub fn is_fresh(&self, id: Id) -> bool {
-        !id.is_placeholder() && !self.declared_ids().contains(&id)
+        !id.is_placeholder() && !self.declares(id)
     }
 
     /// An allocator producing ids above the module's current bound.
@@ -311,15 +295,20 @@ mod tests {
     }
 
     #[test]
-    fn declared_ids_cover_everything() {
+    fn declares_covers_everything() {
         let m = tiny_module();
-        let ids = m.declared_ids();
-        assert!(ids.contains(&m.entry_point));
-        for d in &m.types {
-            assert!(ids.contains(&d.id));
+        let f = m.entry_function();
+        let mut ids = vec![m.entry_point, f.entry_label()];
+        ids.extend(m.types.iter().map(|d| d.id));
+        ids.extend(m.constants.iter().map(|c| c.id));
+        ids.extend(m.globals.iter().map(|g| g.id));
+        ids.extend(f.instructions().filter_map(|i| i.result));
+        for id in ids {
+            assert!(m.declares(id), "{id}");
+            // The bound is strictly above all declared ids.
+            assert!(id.raw() < m.id_bound);
         }
-        // The bound is strictly above all declared ids.
-        assert!(ids.iter().all(|id| id.raw() < m.id_bound));
+        assert!(!m.declares(Id::new(m.id_bound)));
     }
 
     #[test]

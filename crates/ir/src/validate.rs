@@ -4,15 +4,34 @@
 //! The transformation engine validates after every applied transformation in
 //! debug builds; a validation failure there indicates a broken `Effect`, not
 //! a compiler-under-test bug.
+//!
+//! Nine transformation kinds also decide their precondition by applying
+//! themselves to a clone and validating the result, so [`validate`] runs on
+//! nearly every reducer probe. It answers every lookup from tables built once
+//! per call rather than by scanning the module: an id table recording each
+//! id's declaring kind, value type, and type, constant, global or function
+//! declaration, and per function a label index, predecessor sets and
+//! definition sites. Ids index the table directly while they stay within a
+//! small multiple of the declaration count, as builders and fuzzers number
+//! them, so a call is linear in the module's size apart from sorting each
+//! function's branch edges and each phi's operands; sparser ids (a decoded
+//! module may carry any) fall back to binary search over the sorted ids, so
+//! memory stays O(module) whatever the id values.
+//! [`reference`](mod@reference) keeps the original scan-based checker;
+//! `tests/validate_equivalence.rs` pins the two to equal results, messages
+//! included.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::error::Error;
 use std::fmt;
 
-use crate::cfg::Dominators;
+use crate::cfg::{branch_targets, Dominators};
 use crate::{
-    BinOp, ConstantValue, Function, Id, Module, Op, StorageClass, Terminator, Type, UnOp,
+    BinOp, ConstantDecl, ConstantValue, Function, GlobalVariable, Id, Merge, Module, Op,
+    StorageClass, Terminator, Type, UnOp,
 };
+
+pub mod reference;
 
 /// A validation failure, carrying every rule violation found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,10 +66,239 @@ enum DefKind {
     Result,
 }
 
+/// One declaration of an id, as [`for_each_declaration`] visits it.
+#[derive(Clone, Copy)]
+enum Decl {
+    Type(u32),
+    Constant(u32),
+    Global(u32),
+    Function(u32),
+    /// A function parameter, with its type.
+    Param(Id),
+    Label,
+    /// An instruction result, with its type.
+    Result(Option<Id>),
+}
+
+impl Decl {
+    fn kind(self) -> DefKind {
+        match self {
+            Decl::Type(_) => DefKind::Type,
+            Decl::Constant(_) => DefKind::Constant,
+            Decl::Global(_) => DefKind::Global,
+            Decl::Function(_) => DefKind::Function,
+            Decl::Param(_) => DefKind::Param,
+            Decl::Label => DefKind::Label,
+            Decl::Result(_) => DefKind::Result,
+        }
+    }
+}
+
+/// `i` as a table index. Tables hold `u32` indexes to stay small.
+fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("fewer than 2^32 entries")
+}
+
+/// Visits every declaration in module order: types, constants, globals,
+/// then each function's id, parameters, block labels and results. Indexes
+/// are positions in the module's declaration lists.
+fn for_each_declaration(module: &Module, mut visit: impl FnMut(Id, Decl)) {
+    for (i, d) in module.types.iter().enumerate() {
+        visit(d.id, Decl::Type(index(i)));
+    }
+    for (i, c) in module.constants.iter().enumerate() {
+        visit(c.id, Decl::Constant(index(i)));
+    }
+    for (i, g) in module.globals.iter().enumerate() {
+        visit(g.id, Decl::Global(index(i)));
+    }
+    for (i, f) in module.functions.iter().enumerate() {
+        visit(f.id, Decl::Function(index(i)));
+        for p in &f.params {
+            visit(p.id, Decl::Param(p.ty));
+        }
+        for b in &f.blocks {
+            visit(b.label, Decl::Label);
+            for inst in &b.instructions {
+                if let Some(r) = inst.result {
+                    visit(r, Decl::Result(inst.ty));
+                }
+            }
+        }
+    }
+}
+
+/// What the checks ask about one id, folded from all of its declarations.
+///
+/// Lookups answer as the `Module` scans do (`Module::constant` and the like
+/// return the first match), so modules that declare an id twice report
+/// exactly what [`reference`](mod@reference) reports.
+#[derive(Clone, Copy, Default)]
+struct IdInfo {
+    /// Kind of the last declaration; `None` for the placeholder id, which
+    /// never counts as declared.
+    kind: Option<DefKind>,
+    ty: Option<u32>,
+    constant: Option<u32>,
+    global: Option<u32>,
+    function: Option<u32>,
+    /// The last function with this id, whose calls the call graph keeps.
+    callee: Option<u32>,
+    /// `Module::value_type`: a constant's or else a global's type, else the
+    /// first parameter's, else the first result's.
+    value_type: Option<Id>,
+    /// Which of those `value_type` came from, ranked as listed: 3 for a
+    /// constant or global, 2 for a parameter, 1 for a result, 0 for none.
+    value_rank: u8,
+    /// `block` and `local` describe function number `scope - 1`.
+    scope: u32,
+    /// The first block of that function carrying this label.
+    block: Option<u32>,
+    /// This id as a parameter or result of that function.
+    local: Option<Local>,
+}
+
+/// Where a function-local value comes from. A parameter shadows a result,
+/// and the last of several results with one id wins.
+#[derive(Clone, Copy)]
+enum Local {
+    Param,
+    /// Defined by instruction `index` of the block labelled `block`.
+    Result { block: Id, index: u32 },
+}
+
+/// Maps a declared id to its entry in [`IdTable::info`].
+enum Slots {
+    /// Indexed by raw id. Used while the largest declared id is within a
+    /// small multiple of the declaration count, so the table's size follows
+    /// the module's, whatever ids and id bound it carries.
+    Dense(Vec<u32>),
+    /// The distinct declared ids, sorted; an id's entry is its position.
+    Sorted(Vec<Id>),
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+/// Every declared id with its [`IdInfo`].
+struct IdTable {
+    slots: Slots,
+    info: Vec<IdInfo>,
+}
+
+impl IdTable {
+    /// Builds the table, reporting declaration errors in declaration order.
+    fn build(module: &Module, errors: &mut Vec<String>) -> Self {
+        let (mut count, mut max) = (0usize, 0u32);
+        for_each_declaration(module, |id, _| {
+            count += 1;
+            max = max.max(id.raw());
+        });
+        let mut table = if (max as usize) < 4 * count + 64 {
+            IdTable {
+                slots: Slots::Dense(vec![NO_SLOT; max as usize + 1]),
+                info: Vec::with_capacity(count),
+            }
+        } else {
+            let mut ids = Vec::with_capacity(count);
+            for_each_declaration(module, |id, _| ids.push(id));
+            ids.sort_unstable();
+            ids.dedup();
+            IdTable { info: vec![IdInfo::default(); ids.len()], slots: Slots::Sorted(ids) }
+        };
+        for_each_declaration(module, |id, decl| {
+            let info = table.entry(id);
+            if id.is_placeholder() {
+                errors.push("placeholder id used as a declaration".into());
+            } else {
+                if id.raw() >= module.id_bound {
+                    errors.push(format!("{id} is not below the id bound {}", module.id_bound));
+                }
+                if info.kind.replace(decl.kind()).is_some() {
+                    errors.push(format!("{id} declared more than once"));
+                }
+            }
+            let (value_type, rank) = match decl {
+                Decl::Type(i) => {
+                    info.ty.get_or_insert(i);
+                    return;
+                }
+                Decl::Constant(i) => {
+                    info.constant.get_or_insert(i);
+                    (Some(module.constants[i as usize].ty), 3)
+                }
+                Decl::Global(i) => {
+                    info.global.get_or_insert(i);
+                    (Some(module.globals[i as usize].ty), 3)
+                }
+                Decl::Function(i) => {
+                    info.function.get_or_insert(i);
+                    info.callee = Some(i);
+                    return;
+                }
+                Decl::Param(ty) => (Some(ty), 2),
+                Decl::Label => return,
+                Decl::Result(ty) => (ty, 1),
+            };
+            // The first declaration of the highest rank wins; constants are
+            // visited before globals, so a constant beats a global.
+            if rank > info.value_rank {
+                info.value_type = value_type;
+                info.value_rank = rank;
+            }
+        });
+        table
+    }
+
+    fn slot(&self, id: Id) -> Option<usize> {
+        match &self.slots {
+            Slots::Dense(slots) => match slots.get(id.raw() as usize) {
+                Some(&slot) if slot != NO_SLOT => Some(slot as usize),
+                _ => None,
+            },
+            Slots::Sorted(ids) => ids.binary_search(&id).ok(),
+        }
+    }
+
+    /// The entry of `id`, which a declaration is adding to the table.
+    fn entry(&mut self, id: Id) -> &mut IdInfo {
+        if let Slots::Dense(slots) = &mut self.slots {
+            let slot = &mut slots[id.raw() as usize];
+            if *slot == NO_SLOT {
+                *slot = index(self.info.len());
+                self.info.push(IdInfo::default());
+            }
+        }
+        let slot = self.slot(id).expect("every declared id has a slot");
+        &mut self.info[slot]
+    }
+
+    fn get(&self, id: Id) -> Option<&IdInfo> {
+        self.slot(id).map(|slot| &self.info[slot])
+    }
+
+    /// The entry of declared `id` as seen from function `scope`.
+    fn scoped(&mut self, id: Id, scope: u32) -> &mut IdInfo {
+        let slot = self.slot(id).expect("every declared id has a slot");
+        let info = &mut self.info[slot];
+        if info.scope != scope {
+            info.scope = scope;
+            info.block = None;
+            info.local = None;
+        }
+        info
+    }
+}
+
 struct Checker<'m> {
     module: &'m Module,
-    kinds: HashMap<Id, DefKind>,
+    ids: IdTable,
     errors: Vec<String>,
+    /// The function being checked, as [`IdInfo::scope`] numbers it.
+    scope: u32,
+    /// Its distinct `(label, predecessor label)` pairs, sorted.
+    preds: Vec<(Id, Id)>,
+    /// A phi's `(predecessor, position)` pairs, sorted.
+    phi_preds: Vec<(Id, usize)>,
 }
 
 /// Validates `module`, returning every rule violation found.
@@ -60,16 +308,18 @@ struct Checker<'m> {
 /// Returns a [`ValidationError`] describing each violated rule. A module that
 /// passes is safe to interpret and safe for transformations to inspect.
 pub fn validate(module: &Module) -> Result<(), ValidationError> {
-    let mut checker = Checker { module, kinds: HashMap::new(), errors: Vec::new() };
-    checker.check_ids();
+    let mut errors = Vec::new();
+    let ids = IdTable::build(module, &mut errors);
+    let mut checker =
+        Checker { module, ids, errors, scope: 0, preds: Vec::new(), phi_preds: Vec::new() };
     checker.check_types();
     checker.check_constants();
     checker.check_globals();
     checker.check_interface();
     checker.check_entry_point();
     checker.check_call_graph();
-    for function in &module.functions {
-        checker.check_function(function);
+    for (position, function) in module.functions.iter().enumerate() {
+        checker.check_function(position, function);
     }
     if checker.errors.is_empty() {
         Ok(())
@@ -78,63 +328,76 @@ pub fn validate(module: &Module) -> Result<(), ValidationError> {
     }
 }
 
-impl Checker<'_> {
+/// The ids a type refers to, in declaration order.
+fn type_refs(ty: &Type) -> impl Iterator<Item = Id> + '_ {
+    let (head, rest): (Option<Id>, &[Id]) = match ty {
+        Type::Void | Type::Bool | Type::Int | Type::Float => (None, &[]),
+        Type::Vector { component: id, .. }
+        | Type::Array { element: id, .. }
+        | Type::Pointer { pointee: id, .. } => (Some(*id), &[]),
+        Type::Struct { members } => (None, members),
+        Type::Function { ret, params } => (Some(*ret), params),
+    };
+    head.into_iter().chain(rest.iter().copied())
+}
+
+/// The callees of every call in `f`, in instruction order.
+fn callees(f: &Function) -> impl Iterator<Item = Id> + '_ {
+    f.instructions().filter_map(|inst| match &inst.op {
+        Op::Call { callee, .. } => Some(*callee),
+        _ => None,
+    })
+}
+
+impl<'m> Checker<'m> {
     fn err(&mut self, msg: String) {
         self.errors.push(msg);
     }
 
-    fn declare(&mut self, id: Id, kind: DefKind) {
-        if id.is_placeholder() {
-            self.err("placeholder id used as a declaration".into());
-            return;
-        }
-        if id.raw() >= self.module.id_bound {
-            self.err(format!("{id} is not below the id bound {}", self.module.id_bound));
-        }
-        if self.kinds.insert(id, kind).is_some() {
-            self.err(format!("{id} declared more than once"));
-        }
+    fn kind(&self, id: Id) -> Option<DefKind> {
+        self.ids.get(id).and_then(|d| d.kind)
     }
 
-    fn check_ids(&mut self) {
-        // Declaration pass: record the kind of every id first so later
-        // checks can classify operands.
+    fn type_of(&self, id: Id) -> Option<&'m Type> {
         let module = self.module;
-        for d in &module.types {
-            self.declare(d.id, DefKind::Type);
-        }
-        for c in &module.constants {
-            self.declare(c.id, DefKind::Constant);
-        }
-        for g in &module.globals {
-            self.declare(g.id, DefKind::Global);
-        }
-        for f in &module.functions {
-            self.declare(f.id, DefKind::Function);
-            for p in &f.params {
-                self.declare(p.id, DefKind::Param);
-            }
-            for b in &f.blocks {
-                self.declare(b.label, DefKind::Label);
-                for inst in &b.instructions {
-                    if let Some(r) = inst.result {
-                        self.declare(r, DefKind::Result);
-                    }
-                }
-            }
-        }
+        self.ids.get(id)?.ty.map(|i| &module.types[i as usize].ty)
     }
 
-    fn type_of(&self, id: Id) -> Option<&Type> {
-        self.module.type_of(id)
+    fn constant(&self, id: Id) -> Option<&'m ConstantDecl> {
+        let module = self.module;
+        self.ids.get(id)?.constant.map(|i| &module.constants[i as usize])
     }
 
+    fn global(&self, id: Id) -> Option<&'m GlobalVariable> {
+        let module = self.module;
+        self.ids.get(id)?.global.map(|i| &module.globals[i as usize])
+    }
+
+    fn function(&self, id: Id) -> Option<&'m Function> {
+        let module = self.module;
+        self.ids.get(id)?.function.map(|i| &module.functions[i as usize])
+    }
+
+    fn value_type(&self, id: Id) -> Option<Id> {
+        self.ids.get(id)?.value_type
+    }
+
+    /// The type of the value `id`, resolved to its declaration.
+    fn value_type_decl(&self, id: Id) -> Option<&'m Type> {
+        self.value_type(id).and_then(|t| self.type_of(t))
+    }
+
+    /// Returns `true` if a type declared before position `before` has id
+    /// `id`.
+    fn earlier_type(&self, id: Id, before: usize) -> bool {
+        self.ids.get(id).and_then(|d| d.ty).is_some_and(|first| (first as usize) < before)
+    }
 
     fn check_types(&mut self) {
-        let mut seen: HashSet<Id> = HashSet::new();
-        for decl in &self.module.types {
-            for referenced in decl.ty.referenced_ids() {
-                if !seen.contains(&referenced) {
+        let module = self.module;
+        for (position, decl) in module.types.iter().enumerate() {
+            for referenced in type_refs(&decl.ty) {
+                if !self.earlier_type(referenced, position) {
                     self.err(format!(
                         "type {} refers to {referenced}, which is not an earlier type",
                         decl.id
@@ -165,58 +428,59 @@ impl Checker<'_> {
                 }
                 _ => {}
             }
-            seen.insert(decl.id);
         }
     }
 
     fn check_constants(&mut self) {
-        let mut seen: HashSet<Id> = HashSet::new();
-        for c in &self.module.constants {
-            let ty = self.type_of(c.ty).cloned();
-            match (&c.value, ty) {
+        let module = self.module;
+        for (position, c) in module.constants.iter().enumerate() {
+            match (&c.value, self.type_of(c.ty)) {
                 (_, None) => self.err(format!("constant {} has undeclared type", c.id)),
                 (ConstantValue::Bool(_), Some(Type::Bool))
                 | (ConstantValue::Int(_), Some(Type::Int))
                 | (ConstantValue::Float(_), Some(Type::Float)) => {}
                 (ConstantValue::Composite(parts), Some(ty)) => {
-                    let expected: Option<Vec<Id>> = match &ty {
+                    // Member `i` has type `uniform`, or else `listed[i]`.
+                    let (count, uniform, listed): (usize, Option<Id>, &[Id]) = match ty {
                         Type::Vector { component, count } => {
-                            Some(vec![*component; *count as usize])
+                            (*count as usize, Some(*component), &[])
                         }
-                        Type::Array { element, len } => Some(vec![*element; *len as usize]),
-                        Type::Struct { members } => Some(members.clone()),
-                        _ => None,
+                        Type::Array { element, len } => (*len as usize, Some(*element), &[]),
+                        Type::Struct { members } => (members.len(), None, members),
+                        _ => {
+                            self.err(format!(
+                                "composite constant {} has non-composite type",
+                                c.id
+                            ));
+                            continue;
+                        }
                     };
-                    match expected {
-                        None => self.err(format!(
-                            "composite constant {} has non-composite type",
-                            c.id
-                        )),
-                        Some(member_types) => {
-                            if member_types.len() != parts.len() {
-                                self.err(format!(
-                                    "composite constant {} has {} parts, expected {}",
-                                    c.id,
-                                    parts.len(),
-                                    member_types.len()
-                                ));
-                            } else {
-                                for (part, want) in parts.iter().zip(member_types) {
-                                    if !seen.contains(part) {
-                                        self.err(format!(
-                                            "composite constant {} part {part} is not an earlier constant",
-                                            c.id
-                                        ));
-                                    } else if self.module.constant(*part).map(|p| p.ty)
-                                        != Some(want)
-                                    {
-                                        self.err(format!(
-                                            "composite constant {} part {part} has wrong type",
-                                            c.id
-                                        ));
-                                    }
-                                }
-                            }
+                    if count != parts.len() {
+                        self.err(format!(
+                            "composite constant {} has {} parts, expected {}",
+                            c.id,
+                            parts.len(),
+                            count
+                        ));
+                        continue;
+                    }
+                    for (i, part) in parts.iter().enumerate() {
+                        let want = uniform.unwrap_or_else(|| listed[i]);
+                        let earlier = self
+                            .ids
+                            .get(*part)
+                            .and_then(|d| d.constant)
+                            .is_some_and(|first| (first as usize) < position);
+                        if !earlier {
+                            self.err(format!(
+                                "composite constant {} part {part} is not an earlier constant",
+                                c.id
+                            ));
+                        } else if self.constant(*part).map(|p| p.ty) != Some(want) {
+                            self.err(format!(
+                                "composite constant {} part {part} has wrong type",
+                                c.id
+                            ));
                         }
                     }
                 }
@@ -225,13 +489,14 @@ impl Checker<'_> {
                     c.id
                 )),
             }
-            seen.insert(c.id);
         }
     }
 
     fn check_globals(&mut self) {
-        for g in &self.module.globals {
-            match self.type_of(g.ty) {
+        let module = self.module;
+        for g in &module.globals {
+            let pointer = self.type_of(g.ty);
+            match pointer {
                 Some(&Type::Pointer { storage, .. }) => {
                     if storage != g.storage {
                         self.err(format!(
@@ -252,11 +517,11 @@ impl Checker<'_> {
                         g.id, g.storage
                     ));
                 }
-                let pointee = match self.type_of(g.ty) {
+                let pointee = match pointer {
                     Some(&Type::Pointer { pointee, .. }) => Some(pointee),
                     _ => None,
                 };
-                if self.module.constant(init).map(|c| c.ty) != pointee {
+                if self.constant(init).map(|c| c.ty) != pointee {
                     self.err(format!("global {} initializer has wrong type", g.id));
                 }
             }
@@ -264,36 +529,35 @@ impl Checker<'_> {
     }
 
     fn check_interface(&mut self) {
+        let module = self.module;
         let bindings = [
-            (&self.module.interface.uniforms, StorageClass::Uniform, "uniform"),
-            (&self.module.interface.builtins, StorageClass::Input, "builtin"),
-            (&self.module.interface.outputs, StorageClass::Output, "output"),
+            (&module.interface.uniforms, StorageClass::Uniform, "uniform"),
+            (&module.interface.builtins, StorageClass::Input, "builtin"),
+            (&module.interface.outputs, StorageClass::Output, "output"),
         ];
-        let mut errs = Vec::new();
         for (list, storage, what) in bindings {
             let mut names = HashSet::new();
             for b in list {
-                if !names.insert(b.name.clone()) {
-                    errs.push(format!("duplicate {what} name {:?}", b.name));
+                if !names.insert(b.name.as_str()) {
+                    self.err(format!("duplicate {what} name {:?}", b.name));
                 }
-                match self.module.global(b.global) {
+                match self.global(b.global) {
                     Some(g) if g.storage == storage => {}
-                    Some(g) => errs.push(format!(
+                    Some(g) => self.err(format!(
                         "{what} {:?} bound to global {} with storage {}",
                         b.name, b.global, g.storage
                     )),
-                    None => errs.push(format!(
+                    None => self.err(format!(
                         "{what} {:?} bound to undeclared global {}",
                         b.name, b.global
                     )),
                 }
             }
         }
-        self.errors.extend(errs);
     }
 
     fn check_entry_point(&mut self) {
-        match self.module.function(self.module.entry_point) {
+        match self.function(self.module.entry_point) {
             None => self.err("entry point does not name a function".into()),
             Some(f) => match self.type_of(f.ty) {
                 Some(Type::Function { ret, params })
@@ -305,46 +569,43 @@ impl Checker<'_> {
 
     fn check_call_graph(&mut self) {
         // SPIR-V forbids recursion, and the interpreter relies on it for
-        // termination of live-safe calls. Detect cycles with a DFS.
-        let mut edges: HashMap<Id, Vec<Id>> = HashMap::new();
-        for f in &self.module.functions {
-            let callees: Vec<Id> = f
-                .blocks
-                .iter()
-                .flat_map(|b| b.instructions.iter())
-                .filter_map(|i| match &i.op {
-                    Op::Call { callee, .. } => Some(*callee),
-                    _ => None,
-                })
-                .collect();
-            edges.insert(f.id, callees);
-        }
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            Visiting,
-            Done,
-        }
-        let mut marks: HashMap<Id, Mark> = HashMap::new();
+        // termination of live-safe calls. Each function id is one node whose
+        // edges are the calls of the last function declaring it; look for a
+        // cycle with an iterative depth-first search over those nodes.
+        const UNSEEN: u8 = 0;
+        const VISITING: u8 = 1;
+        const DONE: u8 = 2;
+        let module = self.module;
+        let functions = &module.functions;
+        let node = |id: Id| self.ids.get(id).and_then(|d| d.callee).map(|i| i as usize);
+        let mut state = vec![UNSEEN; functions.len()];
+        let mut stack = Vec::new();
         let mut found_cycle = false;
-        fn dfs(
-            node: Id,
-            edges: &HashMap<Id, Vec<Id>>,
-            marks: &mut HashMap<Id, Mark>,
-            found: &mut bool,
-        ) {
-            marks.insert(node, Mark::Visiting);
-            for next in edges.get(&node).into_iter().flatten() {
-                match marks.get(next) {
-                    Some(Mark::Visiting) => *found = true,
-                    Some(Mark::Done) => {}
-                    None => dfs(*next, edges, marks, found),
-                }
+        'roots: for (root, f) in functions.iter().enumerate() {
+            if node(f.id) != Some(root) || state[root] != UNSEEN {
+                continue;
             }
-            marks.insert(node, Mark::Done);
-        }
-        for f in &self.module.functions {
-            if !marks.contains_key(&f.id) {
-                dfs(f.id, &edges, &mut marks, &mut found_cycle);
+            state[root] = VISITING;
+            stack.push((root, callees(f)));
+            while let Some((current, calls)) = stack.last_mut() {
+                let current = *current;
+                match calls.next() {
+                    None => {
+                        state[current] = DONE;
+                        stack.pop();
+                    }
+                    Some(callee) => match node(callee) {
+                        Some(next) if state[next] == VISITING => {
+                            found_cycle = true;
+                            break 'roots;
+                        }
+                        Some(next) if state[next] == UNSEEN => {
+                            state[next] = VISITING;
+                            stack.push((next, callees(&functions[next])));
+                        }
+                        _ => {}
+                    },
+                }
             }
         }
         if found_cycle {
@@ -354,17 +615,101 @@ impl Checker<'_> {
 
     fn value_kind_ok(&self, id: Id) -> bool {
         matches!(
-            self.kinds.get(&id),
+            self.kind(id),
             Some(DefKind::Constant | DefKind::Global | DefKind::Param | DefKind::Result)
         )
     }
 
-    fn check_function(&mut self, f: &Function) {
+    /// Fills the per-function tables for `f`, function number `position`.
+    fn enter_function(&mut self, position: usize, f: &Function) {
+        self.scope = index(position + 1);
+        for p in &f.params {
+            self.ids.scoped(p.id, self.scope).local = Some(Local::Param);
+        }
+        for (i, b) in f.blocks.iter().enumerate() {
+            self.ids.scoped(b.label, self.scope).block.get_or_insert(index(i));
+            for (i, inst) in b.instructions.iter().enumerate() {
+                if let Some(r) = inst.result {
+                    let info = self.ids.scoped(r, self.scope);
+                    if !matches!(info.local, Some(Local::Param)) {
+                        info.local = Some(Local::Result { block: b.label, index: index(i) });
+                    }
+                }
+            }
+        }
+
+        self.preds.clear();
+        for b in &f.blocks {
+            self.preds.extend(branch_targets(&b.terminator).map(|target| (target, b.label)));
+        }
+        self.preds.sort_unstable();
+        self.preds.dedup();
+    }
+
+    /// The index of the first block labelled `label` in the function.
+    fn block_index(&self, label: Id) -> Option<usize> {
+        let block = self.ids.get(label).filter(|d| d.scope == self.scope)?.block?;
+        Some(block as usize)
+    }
+
+    fn has_label(&self, label: Id) -> bool {
+        self.block_index(label).is_some()
+    }
+
+    /// The distinct predecessor labels of the blocks labelled `label`, as
+    /// sorted `(label, predecessor)` pairs.
+    fn preds_of(&self, label: Id) -> &[(Id, Id)] {
+        let start = self.preds.partition_point(|&(target, _)| target < label);
+        let len = self.preds[start..].partition_point(|&(target, _)| target == label);
+        &self.preds[start..start + len]
+    }
+
+    /// Whether `id` is available to instruction slot `use_index` of block
+    /// `use_block` in `f`.
+    fn available(
+        &self,
+        f: &Function,
+        dom: &Dominators,
+        use_block: Id,
+        use_index: usize,
+        id: Id,
+    ) -> Result<(), String> {
+        let info = self.ids.get(id);
+        if info.is_some_and(|d| d.constant.is_some() || d.global.is_some()) {
+            return Ok(());
+        }
+        match info.filter(|d| d.scope == self.scope).and_then(|d| d.local) {
+            Some(Local::Param) => Ok(()),
+            None => Err(format!("{id} is not available in function {}", f.id)),
+            Some(Local::Result { block: def_block, index: def_index }) => {
+                // Be lenient inside unreachable blocks: SPIR-V tools
+                // accept various layouts there and nothing executes them.
+                if !dom.is_reachable(use_block) {
+                    return Ok(());
+                }
+                if def_block == use_block {
+                    if (def_index as usize) < use_index {
+                        Ok(())
+                    } else {
+                        Err(format!("{id} used at or before its definition"))
+                    }
+                } else if dom.strictly_dominates(def_block, use_block) {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "definition of {id} in {def_block} does not dominate use in {use_block}"
+                    ))
+                }
+            }
+        }
+    }
+
+    fn check_function(&mut self, position: usize, f: &'m Function) {
         if f.blocks.is_empty() {
             self.err(format!("function {} has no blocks", f.id));
             return;
         }
-        match self.type_of(f.ty).cloned() {
+        match self.type_of(f.ty) {
             Some(Type::Function { params, .. }) => {
                 if params.len() != f.params.len() {
                     self.err(format!(
@@ -375,7 +720,7 @@ impl Checker<'_> {
                     ));
                 } else {
                     for (p, want) in f.params.iter().zip(params) {
-                        if p.ty != want {
+                        if p.ty != *want {
                             self.err(format!(
                                 "function {} param {} type mismatch",
                                 f.id, p.id
@@ -387,7 +732,7 @@ impl Checker<'_> {
             _ => self.err(format!("function {} type is not a function type", f.id)),
         }
 
-        let labels: HashSet<Id> = f.blocks.iter().map(|b| b.label).collect();
+        self.enter_function(position, f);
         let dom = Dominators::compute(f);
         let entry = f.entry_label();
 
@@ -395,7 +740,7 @@ impl Checker<'_> {
         // block must appear after its immediate dominator.
         for (i, b) in f.blocks.iter().enumerate() {
             if let Some(idom) = dom.idom(b.label) {
-                let idom_index = f.block_index(idom).unwrap_or(usize::MAX);
+                let idom_index = self.block_index(idom).unwrap_or(usize::MAX);
                 if idom_index >= i {
                     self.err(format!(
                         "block {} appears before its dominator {}",
@@ -404,55 +749,6 @@ impl Checker<'_> {
                 }
             }
         }
-
-        // Map each result id to its defining block and index so dominance
-        // checks can locate definitions.
-        let mut def_site: HashMap<Id, (Id, usize)> = HashMap::new();
-        for b in &f.blocks {
-            for (i, inst) in b.instructions.iter().enumerate() {
-                if let Some(r) = inst.result {
-                    def_site.insert(r, (b.label, i));
-                }
-            }
-        }
-
-        let local_params: HashSet<Id> = f.params.iter().map(|p| p.id).collect();
-
-        let available = |this: &Self,
-                         use_block: Id,
-                         use_index: usize,
-                         id: Id|
-         -> Result<(), String> {
-            if this.module.constant(id).is_some()
-                || this.module.global(id).is_some()
-                || local_params.contains(&id)
-            {
-                return Ok(());
-            }
-            match def_site.get(&id) {
-                None => Err(format!("{id} is not available in function {}", f.id)),
-                Some(&(def_block, def_index)) => {
-                    // Be lenient inside unreachable blocks: SPIR-V tools
-                    // accept various layouts there and nothing executes them.
-                    if !dom.is_reachable(use_block) {
-                        return Ok(());
-                    }
-                    if def_block == use_block {
-                        if def_index < use_index {
-                            Ok(())
-                        } else {
-                            Err(format!("{id} used at or before its definition"))
-                        }
-                    } else if dom.strictly_dominates(def_block, use_block) {
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "definition of {id} in {def_block} does not dominate use in {use_block}"
-                        ))
-                    }
-                }
-            }
-        };
 
         for b in &f.blocks {
             // Phis must be a prefix.
@@ -463,8 +759,7 @@ impl Checker<'_> {
                 }
             }
 
-            let preds: HashSet<Id> = f.predecessors(b.label).into_iter().collect();
-            if b.label == entry && !preds.is_empty() {
+            if b.label == entry && !self.preds_of(b.label).is_empty() {
                 self.err(format!("entry block {} has predecessors", b.label));
             }
 
@@ -472,39 +767,12 @@ impl Checker<'_> {
                 // Kind sanity for operands, then op-specific typing.
                 let mut operand_errors = Vec::new();
                 if let Op::Phi { incoming } = &inst.op {
-                    let mut seen_preds = HashSet::new();
-                    for (value, pred) in incoming {
-                        if !labels.contains(pred) {
-                            operand_errors
-                                .push(format!("phi in {} names unknown block {pred}", b.label));
-                        } else if !seen_preds.insert(*pred) {
-                            operand_errors
-                                .push(format!("phi in {} repeats predecessor {pred}", b.label));
-                        }
-                        // Value must be available at the end of the
-                        // predecessor.
-                        if let Some(pred_block) = f.block(*pred) {
-                            let end = pred_block.instructions.len();
-                            if let Err(e) = available(self, *pred, end, *value) {
-                                operand_errors.push(format!("phi operand: {e}"));
-                            }
-                        }
-                    }
-                    if dom.is_reachable(b.label) {
-                        let named: HashSet<Id> =
-                            incoming.iter().map(|(_, pred)| *pred).collect();
-                        if named != preds {
-                            operand_errors.push(format!(
-                                "phi in {} covers {named:?} but predecessors are {preds:?}",
-                                b.label
-                            ));
-                        }
-                    }
+                    self.check_phi_operands(f, &dom, b.label, incoming, &mut operand_errors);
                 } else {
                     inst.op.for_each_id_operand(|id| {
                         if let Op::Call { callee, .. } = &inst.op {
                             if *callee == id {
-                                if !matches!(self.kinds.get(&id), Some(DefKind::Function)) {
+                                if self.kind(id) != Some(DefKind::Function) {
                                     operand_errors.push(format!("callee {id} is not a function"));
                                 }
                                 return;
@@ -516,13 +784,13 @@ impl Checker<'_> {
                                 inst.op.mnemonic(),
                                 b.label
                             ));
-                        } else if let Err(e) = available(self, b.label, i, id) {
+                        } else if let Err(e) = self.available(f, &dom, b.label, i, id) {
                             operand_errors.push(e);
                         }
                     });
                 }
                 self.errors.extend(operand_errors);
-                self.check_instruction_types(f, b.label, inst);
+                self.check_instruction_types(b.label, inst);
 
                 if inst.is_variable() {
                     if b.label != entry {
@@ -532,7 +800,7 @@ impl Checker<'_> {
                         ));
                     }
                     if let Op::Variable { initializer: Some(init), .. } = &inst.op {
-                        if self.module.constant(*init).is_none() {
+                        if self.constant(*init).is_none() {
                             self.err("variable initializer must be a constant".into());
                         }
                     }
@@ -540,30 +808,30 @@ impl Checker<'_> {
             }
 
             // Terminator checks.
-            for target in b.terminator.targets() {
-                if !labels.contains(&target) {
+            for target in branch_targets(&b.terminator) {
+                if !self.has_label(target) {
                     self.err(format!("{} branches to unknown block {target}", b.label));
                 } else if target == entry {
                     self.err(format!("{} branches to the entry block", b.label));
                 }
             }
-            for id in b.terminator.id_operands() {
+            let operand = match b.terminator {
+                Terminator::BranchConditional { cond, .. } => Some(cond),
+                Terminator::ReturnValue { value } => Some(value),
+                _ => None,
+            };
+            if let Some(id) = operand {
                 if !self.value_kind_ok(id) {
                     self.err(format!("terminator operand {id} in {} is not a value", b.label));
                 } else if let Err(e) =
-                    available(self, b.label, b.instructions.len(), id)
+                    self.available(f, &dom, b.label, b.instructions.len(), id)
                 {
                     self.err(e);
                 }
             }
             match &b.terminator {
                 Terminator::BranchConditional { cond, true_target, false_target } => {
-                    if self
-                        .module
-                        .value_type(*cond)
-                        .and_then(|t| self.type_of(t))
-                        .is_some_and(|t| *t != Type::Bool)
-                    {
+                    if self.value_type_decl(*cond).is_some_and(|t| *t != Type::Bool) {
                         self.err(format!("condition {cond} in {} is not boolean", b.label));
                     }
                     if true_target != false_target && b.merge.is_none() {
@@ -584,8 +852,8 @@ impl Checker<'_> {
                     }
                 }
                 Terminator::ReturnValue { value } => {
-                    if let Some(Type::Function { ret, .. }) = self.type_of(f.ty).cloned() {
-                        if self.module.value_type(*value) != Some(ret) {
+                    if let Some(Type::Function { ret, .. }) = self.type_of(f.ty) {
+                        if self.value_type(*value) != Some(*ret) {
                             self.err(format!(
                                 "OpReturnValue type mismatch in function {} (block {})",
                                 f.id, b.label
@@ -596,8 +864,12 @@ impl Checker<'_> {
                 _ => {}
             }
             if let Some(merge) = b.merge {
-                for label in merge.referenced_labels() {
-                    if !labels.contains(&label) {
+                let (merge_block, cont) = match merge {
+                    Merge::Selection { merge } => (merge, None),
+                    Merge::Loop { merge, cont } => (merge, Some(cont)),
+                };
+                for label in std::iter::once(merge_block).chain(cont) {
+                    if !self.has_label(label) {
                         self.err(format!(
                             "merge annotation on {} names unknown block {label}",
                             b.label
@@ -608,19 +880,61 @@ impl Checker<'_> {
         }
     }
 
-    fn check_instruction_types(&mut self, f: &Function, block: Id, inst: &crate::Instruction) {
-        let vt = |this: &Self, id: Id| -> Option<Type> {
-            this.module
-                .value_type(id)
-                .and_then(|t| this.type_of(t))
-                .cloned()
-        };
-        let result_ty = inst.ty.and_then(|t| self.type_of(t)).cloned();
+    /// The operand rules of a phi in block `block`: known, distinct
+    /// predecessors whose ends its values reach, covering exactly the
+    /// block's predecessors.
+    fn check_phi_operands(
+        &mut self,
+        f: &Function,
+        dom: &Dominators,
+        block: Id,
+        incoming: &[(Id, Id)],
+        errors: &mut Vec<String>,
+    ) {
+        let mut sorted = std::mem::take(&mut self.phi_preds);
+        sorted.clear();
+        sorted.extend(incoming.iter().enumerate().map(|(i, &(_, pred))| (pred, i)));
+        sorted.sort_unstable();
+        for (i, &(value, pred)) in incoming.iter().enumerate() {
+            if !self.has_label(pred) {
+                errors.push(format!("phi in {block} names unknown block {pred}"));
+            } else {
+                // A repeat is any occurrence after the first.
+                let at = sorted.binary_search(&(pred, i)).expect("every position is sorted in");
+                if at > 0 && sorted[at - 1].0 == pred {
+                    errors.push(format!("phi in {block} repeats predecessor {pred}"));
+                }
+            }
+            // Value must be available at the end of the predecessor.
+            if let Some(pred_index) = self.block_index(pred) {
+                let end = f.blocks[pred_index].instructions.len();
+                if let Err(e) = self.available(f, dom, pred, end, value) {
+                    errors.push(format!("phi operand: {e}"));
+                }
+            }
+        }
+        if dom.is_reachable(block) {
+            let preds = self.preds_of(block);
+            let named = sorted.chunk_by(|a, b| a.0 == b.0).map(|run| run[0].0);
+            if !named.eq(preds.iter().map(|&(_, pred)| pred)) {
+                let named: BTreeSet<Id> = sorted.iter().map(|&(pred, _)| pred).collect();
+                let preds: BTreeSet<Id> = preds.iter().map(|&(_, pred)| pred).collect();
+                errors.push(format!(
+                    "phi in {block} covers {named:?} but predecessors are {preds:?}"
+                ));
+            }
+        }
+        self.phi_preds = sorted;
+    }
+
+    fn check_instruction_types(&mut self, block: Id, inst: &crate::Instruction) {
+        let vt = |id: Id| self.value_type_decl(id);
+        let result_ty = inst.ty.and_then(|t| self.type_of(t));
         let mut errs = Vec::new();
         match &inst.op {
             Op::Binary { op, lhs, rhs } => {
-                let lt = vt(self, *lhs);
-                let rt = vt(self, *rhs);
+                let lt = vt(*lhs);
+                let rt = vt(*rhs);
                 if lt.is_some() && rt.is_some() && lt != rt {
                     errs.push(format!(
                         "{} in {block}: operand types differ",
@@ -628,7 +942,7 @@ impl Checker<'_> {
                     ));
                 }
                 if op.is_comparison() {
-                    if result_ty.is_some() && result_ty != Some(Type::Bool) {
+                    if result_ty.is_some_and(|t| *t != Type::Bool) {
                         errs.push(format!(
                             "{} in {block}: comparison result must be bool",
                             op.mnemonic()
@@ -650,21 +964,18 @@ impl Checker<'_> {
                     | BinOp::FOrdLessThan
                     | BinOp::FOrdLessThanEqual
                     | BinOp::FOrdGreaterThan
-                    | BinOp::FOrdGreaterThanEqual => Some(Type::Float),
-                    BinOp::LogicalAnd | BinOp::LogicalOr => Some(Type::Bool),
-                    _ => Some(Type::Int),
+                    | BinOp::FOrdGreaterThanEqual => Type::Float,
+                    BinOp::LogicalAnd | BinOp::LogicalOr => Type::Bool,
+                    _ => Type::Int,
                 };
-                if let (Some(have), Some(want)) = (lt, want) {
-                    if have != want {
-                        errs.push(format!(
-                            "{} in {block}: operands must be {want:?}",
-                            op.mnemonic()
-                        ));
-                    }
+                if lt.is_some_and(|have| *have != want) {
+                    errs.push(format!(
+                        "{} in {block}: operands must be {want:?}",
+                        op.mnemonic()
+                    ));
                 }
             }
             Op::Unary { op, src } => {
-                let st = vt(self, *src);
                 let (want_src, want_res) = match op {
                     UnOp::SNegate | UnOp::BitNot => (Type::Int, Type::Int),
                     UnOp::FNegate => (Type::Float, Type::Float),
@@ -672,19 +983,19 @@ impl Checker<'_> {
                     UnOp::ConvertSToF => (Type::Int, Type::Float),
                     UnOp::ConvertFToS => (Type::Float, Type::Int),
                 };
-                if st.is_some() && st != Some(want_src.clone()) {
+                if vt(*src).is_some_and(|t| *t != want_src) {
                     errs.push(format!("{} in {block}: operand must be {want_src:?}", op.mnemonic()));
                 }
-                if result_ty.is_some() && result_ty != Some(want_res.clone()) {
+                if result_ty.is_some_and(|t| *t != want_res) {
                     errs.push(format!("{} in {block}: result must be {want_res:?}", op.mnemonic()));
                 }
             }
             Op::Select { cond, if_true, if_false } => {
-                if vt(self, *cond).is_some_and(|t| t != Type::Bool) {
+                if vt(*cond).is_some_and(|t| *t != Type::Bool) {
                     errs.push(format!("OpSelect in {block}: condition must be bool"));
                 }
-                let tt = self.module.value_type(*if_true);
-                let ft = self.module.value_type(*if_false);
+                let tt = self.value_type(*if_true);
+                let ft = self.value_type(*if_false);
                 if tt.is_some() && ft.is_some() && tt != ft {
                     errs.push(format!("OpSelect in {block}: branch types differ"));
                 }
@@ -694,11 +1005,11 @@ impl Checker<'_> {
             }
             Op::CompositeConstruct { parts } => match result_ty {
                 Some(Type::Vector { component, count }) => {
-                    if parts.len() != count as usize {
+                    if parts.len() != *count as usize {
                         errs.push(format!("OpCompositeConstruct in {block}: arity mismatch"));
                     }
                     for p in parts {
-                        if self.module.value_type(*p) != Some(component) {
+                        if self.value_type(*p) != Some(*component) {
                             errs.push(format!(
                                 "OpCompositeConstruct in {block}: component type mismatch"
                             ));
@@ -706,11 +1017,11 @@ impl Checker<'_> {
                     }
                 }
                 Some(Type::Array { element, len }) => {
-                    if parts.len() != len as usize {
+                    if parts.len() != *len as usize {
                         errs.push(format!("OpCompositeConstruct in {block}: arity mismatch"));
                     }
                     for p in parts {
-                        if self.module.value_type(*p) != Some(element) {
+                        if self.value_type(*p) != Some(*element) {
                             errs.push(format!(
                                 "OpCompositeConstruct in {block}: element type mismatch"
                             ));
@@ -722,7 +1033,7 @@ impl Checker<'_> {
                         errs.push(format!("OpCompositeConstruct in {block}: arity mismatch"));
                     } else {
                         for (p, want) in parts.iter().zip(members) {
-                            if self.module.value_type(*p) != Some(want) {
+                            if self.value_type(*p) != Some(*want) {
                                 errs.push(format!(
                                     "OpCompositeConstruct in {block}: member type mismatch"
                                 ));
@@ -735,7 +1046,7 @@ impl Checker<'_> {
                 )),
             },
             Op::CompositeExtract { composite, indices } => {
-                if let Some(start) = self.module.value_type(*composite) {
+                if let Some(start) = self.value_type(*composite) {
                     match self.walk_path(start, indices) {
                         Ok(end) => {
                             if inst.ty != Some(end) {
@@ -749,10 +1060,10 @@ impl Checker<'_> {
                 }
             }
             Op::CompositeInsert { object, composite, indices } => {
-                if let Some(start) = self.module.value_type(*composite) {
+                if let Some(start) = self.value_type(*composite) {
                     match self.walk_path(start, indices) {
                         Ok(end) => {
-                            if self.module.value_type(*object) != Some(end) {
+                            if self.value_type(*object) != Some(end) {
                                 errs.push(format!(
                                     "OpCompositeInsert in {block}: object type mismatch"
                                 ));
@@ -768,12 +1079,11 @@ impl Checker<'_> {
                 }
             }
             Op::AccessChain { base, indices } => {
-                let base_ty = self.module.value_type(*base).and_then(|t| self.type_of(t));
-                if let Some(&Type::Pointer { storage, pointee }) = base_ty {
+                if let Some(&Type::Pointer { storage, pointee }) = vt(*base) {
                     let mut current = pointee;
                     let mut ok = true;
                     for idx in indices {
-                        if vt(self, *idx).is_some_and(|t| t != Type::Int) {
+                        if vt(*idx).is_some_and(|t| *t != Type::Int) {
                             errs.push(format!("OpAccessChain in {block}: index must be int"));
                         }
                         current = match self.type_of(current) {
@@ -781,7 +1091,6 @@ impl Checker<'_> {
                             Some(Type::Array { element, .. }) => *element,
                             Some(Type::Struct { members }) => {
                                 match self
-                                    .module
                                     .constant(*idx)
                                     .and_then(|c| c.value.as_int())
                                     .and_then(|i| usize::try_from(i).ok())
@@ -816,44 +1125,38 @@ impl Checker<'_> {
                     errs.push(format!("OpAccessChain in {block}: base is not a pointer"));
                 }
             }
-            Op::Load { pointer } => {
-                match self.module.value_type(*pointer).and_then(|t| self.type_of(t)) {
-                    Some(&Type::Pointer { pointee, .. }) => {
-                        if inst.ty != Some(pointee) {
-                            errs.push(format!("OpLoad in {block}: result type mismatch"));
-                        }
+            Op::Load { pointer } => match vt(*pointer) {
+                Some(&Type::Pointer { pointee, .. }) => {
+                    if inst.ty != Some(pointee) {
+                        errs.push(format!("OpLoad in {block}: result type mismatch"));
                     }
-                    _ => errs.push(format!("OpLoad in {block}: operand is not a pointer")),
                 }
-            }
-            Op::Store { pointer, value } => {
-                match self.module.value_type(*pointer).and_then(|t| self.type_of(t)) {
-                    Some(&Type::Pointer { storage, pointee }) => {
-                        if !storage.is_writable() {
-                            errs.push(format!(
-                                "OpStore in {block}: storage class {storage} is read-only"
-                            ));
-                        }
-                        if self.module.value_type(*value) != Some(pointee) {
-                            errs.push(format!("OpStore in {block}: value type mismatch"));
-                        }
+                _ => errs.push(format!("OpLoad in {block}: operand is not a pointer")),
+            },
+            Op::Store { pointer, value } => match vt(*pointer) {
+                Some(&Type::Pointer { storage, pointee }) => {
+                    if !storage.is_writable() {
+                        errs.push(format!(
+                            "OpStore in {block}: storage class {storage} is read-only"
+                        ));
                     }
-                    _ => errs.push(format!("OpStore in {block}: operand is not a pointer")),
+                    if self.value_type(*value) != Some(pointee) {
+                        errs.push(format!("OpStore in {block}: value type mismatch"));
+                    }
                 }
-            }
+                _ => errs.push(format!("OpStore in {block}: operand is not a pointer")),
+            },
             Op::Call { callee, args } => {
-                if let Some(callee_fn) = self.module.function(*callee) {
-                    if let Some(Type::Function { ret, params }) =
-                        self.type_of(callee_fn.ty).cloned()
-                    {
-                        if inst.ty != Some(ret) {
+                if let Some(callee_fn) = self.function(*callee) {
+                    if let Some(Type::Function { ret, params }) = self.type_of(callee_fn.ty) {
+                        if inst.ty != Some(*ret) {
                             errs.push(format!("OpFunctionCall in {block}: result type mismatch"));
                         }
                         if args.len() != params.len() {
                             errs.push(format!("OpFunctionCall in {block}: arity mismatch"));
                         } else {
                             for (a, want) in args.iter().zip(params) {
-                                if self.module.value_type(*a) != Some(want) {
+                                if self.value_type(*a) != Some(*want) {
                                     errs.push(format!(
                                         "OpFunctionCall in {block}: argument type mismatch"
                                     ));
@@ -870,13 +1173,13 @@ impl Checker<'_> {
                     errs.push(format!("OpPhi in {block}: pointers cannot be phi results"));
                 }
                 for (value, _) in incoming {
-                    if self.module.value_type(*value) != inst.ty {
+                    if self.value_type(*value) != inst.ty {
                         errs.push(format!("OpPhi in {block}: incoming value type mismatch"));
                     }
                 }
             }
             Op::Variable { storage, .. } => {
-                match inst.ty.and_then(|t| self.type_of(t)) {
+                match result_ty {
                     Some(Type::Pointer { storage: ptr_storage, .. }) => {
                         if ptr_storage != storage {
                             errs.push(format!(
@@ -896,20 +1199,17 @@ impl Checker<'_> {
                 // Undef values must be data: an undefined pointer has no
                 // meaningful cell to refer to.
                 if matches!(inst.op, Op::Undef)
-                    && !result_ty
-                        .as_ref()
-                        .is_some_and(|t| t.is_scalar() || t.is_composite())
+                    && !result_ty.is_some_and(|t| t.is_scalar() || t.is_composite())
                 {
                     errs.push(format!("OpUndef in {block}: type must be a data type"));
                 }
                 if let Op::CopyObject { src } = &inst.op {
-                    if self.module.value_type(*src) != inst.ty {
+                    if self.value_type(*src) != inst.ty {
                         errs.push(format!("OpCopyObject in {block}: type mismatch"));
                     }
                 }
             }
         }
-        let _ = f;
         self.errors.extend(errs);
     }
 
@@ -1058,6 +1358,47 @@ mod tests {
         ));
         let err = validate(&m).unwrap_err();
         assert!(err.to_string().contains("cycle"), "{err}");
+    }
+
+    #[test]
+    fn phi_coverage_message_lists_sorted_sets() {
+        // A three-way join whose phi names a label that is not a
+        // predecessor: both sets print in id order, whatever the order of
+        // the phi's operands or of the blocks.
+        let mut b = ModuleBuilder::new();
+        let t_int = b.type_int();
+        let c1 = b.constant_int(1);
+        let c_true = b.constant_bool(true);
+        let mut f = b.begin_entry_function("main");
+        let entry = f.current_label();
+        let (left, inner, right, join) =
+            (f.reserve_label(), f.reserve_label(), f.reserve_label(), f.reserve_label());
+        f.selection_merge(join);
+        f.branch_cond(c_true, right, left);
+        f.begin_block_with_label(left);
+        f.selection_merge(join);
+        f.branch_cond(c_true, inner, join);
+        f.begin_block_with_label(inner);
+        f.branch(join);
+        f.begin_block_with_label(right);
+        f.branch(join);
+        f.begin_block_with_label(join);
+        let phi = f.phi(t_int, vec![(c1, right), (c1, entry), (c1, inner)]);
+        f.store_output("out", phi);
+        f.ret();
+        f.finish();
+        let m = b.finish();
+        let err = validate(&m).unwrap_err();
+        let mut named = [right, entry, inner];
+        named.sort();
+        let mut preds = [left, inner, right];
+        preds.sort();
+        let want = format!(
+            "phi in {join} covers {{{}, {}, {}}} but predecessors are {{{}, {}, {}}}",
+            named[0], named[1], named[2], preds[0], preds[1], preds[2]
+        );
+        assert!(err.messages().contains(&want), "{err}");
+        assert_eq!(reference::validate(&m), Err(err));
     }
 
     #[test]

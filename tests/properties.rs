@@ -7,7 +7,7 @@ use transfuzz::baseline::{cross_compile, BaselineFuzzer};
 use transfuzz::core::Context;
 use transfuzz::fuzzer::{Fuzzer, FuzzerOptions};
 use transfuzz::harness::corpus::{donor_modules, reference_shader, REFERENCE_COUNT};
-use transfuzz::ir::validate::validate;
+use transfuzz::ir::validate::{reference, validate};
 use transfuzz::ir::{binary, interp};
 use transfuzz::targets::catalog;
 
@@ -44,6 +44,19 @@ proptest! {
             &interp::execute(&glsl.context.module, &original.inputs).unwrap(),
             &expected
         );
+    }
+
+    /// The indexed validator reports exactly what the scan-based reference
+    /// reports on fuzzed modules, and on the same modules with every
+    /// function's blocks reversed.
+    #[test]
+    fn validators_agree_on_fuzzed_modules(seed in 0u64..5_000) {
+        let mut module = fuzzed_module(seed).module;
+        prop_assert_eq!(validate(&module), reference::validate(&module));
+        for f in &mut module.functions {
+            f.blocks.reverse();
+        }
+        prop_assert_eq!(validate(&module), reference::validate(&module));
     }
 
     /// The binary codec round-trips arbitrary fuzzed modules exactly.
