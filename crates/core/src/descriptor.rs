@@ -143,7 +143,7 @@ impl UseDescriptor {
             UseDescriptor::Terminator { block, operand } => {
                 let function = module.functions.iter().find(|f| f.block(*block).is_some())?;
                 let b = function.block(*block)?;
-                b.terminator.id_operands().get(*operand as usize).copied()
+                b.terminator.id_operands().nth(*operand as usize)
             }
         }
     }

@@ -310,7 +310,7 @@ impl WrapRegionInSelection {
                         .instructions
                         .iter()
                         .any(|i| i.op.id_operands().contains(&def))
-                        || other.terminator.id_operands().contains(&def)
+                        || other.terminator.id_operands().any(|o| o == def)
                 })
             })
             .collect()
@@ -354,7 +354,7 @@ impl WrapRegionInSelection {
         // would change which block closes that construct.
         if function.blocks.iter().any(|b| {
             b.merge
-                .is_some_and(|m| m.referenced_labels().contains(&self.block))
+                .is_some_and(|m| m.referenced_labels().any(|l| l == self.block))
         }) {
             return false;
         }

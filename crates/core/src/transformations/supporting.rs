@@ -39,8 +39,7 @@ impl AddType {
         let refs_ok = self
             .ty
             .referenced_ids()
-            .iter()
-            .all(|&r| ctx.module.type_of(r).is_some());
+            .all(|r| ctx.module.type_of(r).is_some());
         let shape_ok = match &self.ty {
             Type::Vector { component, count } => {
                 (2..=4).contains(count)

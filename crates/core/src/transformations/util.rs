@@ -70,7 +70,7 @@ pub(crate) fn analyze_use(ctx: &Context, use_desc: &UseDescriptor) -> Option<(Id
                 .enumerate()
                 .find(|(_, f)| f.block(*block).is_some())?;
             let b = f.block(*block)?;
-            let used = b.terminator.id_operands().get(*operand as usize).copied()?;
+            let used = b.terminator.id_operands().nth(*operand as usize)?;
             Some((used, UseSite::Terminator { function: fi, block: *block }))
         }
     }

@@ -83,7 +83,7 @@ pub fn terminator_uses(module: &Module) -> Vec<(UseDescriptor, Id)> {
     let mut out = Vec::new();
     for function in &module.functions {
         for block in &function.blocks {
-            for (operand, used) in block.terminator.id_operands().into_iter().enumerate() {
+            for (operand, used) in block.terminator.id_operands().enumerate() {
                 out.push((
                     UseDescriptor::Terminator { block: block.label, operand: operand as u32 },
                     used,

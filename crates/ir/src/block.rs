@@ -30,11 +30,12 @@ impl Merge {
     }
 
     /// Labels referenced by the annotation.
-    pub fn referenced_labels(self) -> Vec<Id> {
-        match self {
-            Merge::Selection { merge } => vec![merge],
-            Merge::Loop { merge, cont } => vec![merge, cont],
-        }
+    pub fn referenced_labels(self) -> impl Iterator<Item = Id> {
+        let (merge, cont) = match self {
+            Merge::Selection { merge } => (merge, None),
+            Merge::Loop { merge, cont } => (merge, Some(cont)),
+        };
+        std::iter::once(merge).chain(cont)
     }
 
     /// Rewrites each referenced label in place.
@@ -98,7 +99,7 @@ impl Block {
 
     /// The labels control may flow to from this block.
     pub fn successors(&self) -> Vec<Id> {
-        self.terminator.targets()
+        self.terminator.targets().collect()
     }
 }
 
@@ -149,6 +150,6 @@ mod tests {
     fn merge_labels() {
         let m = Merge::Loop { merge: Id::new(4), cont: Id::new(5) };
         assert_eq!(m.merge_block(), Id::new(4));
-        assert_eq!(m.referenced_labels(), vec![Id::new(4), Id::new(5)]);
+        assert_eq!(m.referenced_labels().collect::<Vec<_>>(), vec![Id::new(4), Id::new(5)]);
     }
 }

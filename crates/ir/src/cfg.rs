@@ -5,23 +5,7 @@
 //! and the preconditions of control-flow transformations such as
 //! `MoveBlockDown` ("a block must appear before all blocks it dominates").
 
-use crate::{Function, Id, Terminator};
-
-/// The labels `terminator` may branch to, as [`Terminator::targets`] lists
-/// them, without allocating.
-pub(crate) fn branch_targets(terminator: &Terminator) -> impl Iterator<Item = Id> {
-    let (first, second) = match *terminator {
-        Terminator::Branch { target } => (Some(target), None),
-        Terminator::BranchConditional { true_target, false_target, .. } => {
-            (Some(true_target), Some(false_target))
-        }
-        Terminator::Return
-        | Terminator::ReturnValue { .. }
-        | Terminator::Kill
-        | Terminator::Unreachable => (None, None),
-    };
-    first.into_iter().chain(second)
-}
+use crate::{Function, Id};
 
 /// The control-flow graph of a function, with blocks addressed by dense
 /// indexes in syntactic order.
@@ -31,12 +15,8 @@ pub struct Cfg {
     /// `(label, block index)` sorted by label. A label carried by several
     /// blocks (only in invalid functions) resolves to the last of them.
     index: Vec<(Id, usize)>,
-    /// Block `i`'s successors are `succs[succ_start[i]..succ_start[i + 1]]`,
-    /// in terminator order; its predecessors likewise, in block order.
-    succ_start: Vec<usize>,
-    succs: Vec<usize>,
-    pred_start: Vec<usize>,
-    preds: Vec<usize>,
+    succs: Vec<Vec<usize>>,
+    preds: Vec<Vec<usize>>,
 }
 
 impl Cfg {
@@ -55,34 +35,18 @@ impl Cfg {
             }
             same
         });
-        let n = labels.len();
         let mut cfg = Cfg {
+            succs: vec![Vec::new(); labels.len()],
+            preds: vec![Vec::new(); labels.len()],
             labels,
             index,
-            succ_start: Vec::with_capacity(n + 1),
-            succs: Vec::with_capacity(2 * n),
-            pred_start: vec![0; n + 1],
-            preds: Vec::new(),
         };
-        cfg.succ_start.push(0);
-        for block in &function.blocks {
-            for target in branch_targets(&block.terminator) {
+        for (i, block) in function.blocks.iter().enumerate() {
+            for target in block.terminator.targets() {
                 if let Some(j) = cfg.index_of(target) {
-                    cfg.succs.push(j);
-                    cfg.pred_start[j + 1] += 1;
+                    cfg.succs[i].push(j);
+                    cfg.preds[j].push(i);
                 }
-            }
-            cfg.succ_start.push(cfg.succs.len());
-        }
-        for j in 0..n {
-            cfg.pred_start[j + 1] += cfg.pred_start[j];
-        }
-        let mut next = cfg.pred_start[..n].to_vec();
-        cfg.preds = vec![0; cfg.succs.len()];
-        for i in 0..n {
-            for &j in &cfg.succs[cfg.succ_start[i]..cfg.succ_start[i + 1]] {
-                cfg.preds[next[j]] = i;
-                next[j] += 1;
             }
         }
         cfg
@@ -116,13 +80,13 @@ impl Cfg {
     /// Successor indexes of block `i`.
     #[must_use]
     pub fn successors(&self, i: usize) -> &[usize] {
-        &self.succs[self.succ_start[i]..self.succ_start[i + 1]]
+        &self.succs[i]
     }
 
     /// Predecessor indexes of block `i`.
     #[must_use]
     pub fn predecessors(&self, i: usize) -> &[usize] {
-        &self.preds[self.pred_start[i]..self.pred_start[i + 1]]
+        &self.preds[i]
     }
 
     /// Blocks in reverse postorder from the entry. Unreachable blocks are
@@ -141,9 +105,8 @@ impl Cfg {
         let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
         visited[0] = true;
         while let Some(&mut (node, ref mut cursor)) = stack.last_mut() {
-            let succs = self.successors(node);
-            if *cursor < succs.len() {
-                let next = succs[succs.len() - 1 - *cursor];
+            if *cursor < self.succs[node].len() {
+                let next = self.succs[node][self.succs[node].len() - 1 - *cursor];
                 *cursor += 1;
                 if !visited[next] {
                     visited[next] = true;

@@ -497,17 +497,18 @@ pub enum Terminator {
 
 impl Terminator {
     /// The labels this terminator may branch to.
-    pub fn targets(&self) -> Vec<Id> {
-        match self {
-            Terminator::Branch { target } => vec![*target],
+    pub fn targets(&self) -> impl Iterator<Item = Id> {
+        let (first, second) = match *self {
+            Terminator::Branch { target } => (Some(target), None),
             Terminator::BranchConditional { true_target, false_target, .. } => {
-                vec![*true_target, *false_target]
+                (Some(true_target), Some(false_target))
             }
             Terminator::Return
             | Terminator::ReturnValue { .. }
             | Terminator::Kill
-            | Terminator::Unreachable => Vec::new(),
-        }
+            | Terminator::Unreachable => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Rewrites each branch target label in place.
@@ -523,12 +524,13 @@ impl Terminator {
     }
 
     /// Ids of values the terminator uses.
-    pub fn id_operands(&self) -> Vec<Id> {
-        match self {
-            Terminator::BranchConditional { cond, .. } => vec![*cond],
-            Terminator::ReturnValue { value } => vec![*value],
-            _ => Vec::new(),
+    pub fn id_operands(&self) -> impl Iterator<Item = Id> {
+        match *self {
+            Terminator::BranchConditional { cond, .. } => Some(cond),
+            Terminator::ReturnValue { value } => Some(value),
+            _ => None,
         }
+        .into_iter()
     }
 
     /// Rewrites each used value id in place.
@@ -606,9 +608,9 @@ mod tests {
             true_target: Id::new(2),
             false_target: Id::new(3),
         };
-        assert_eq!(t.targets(), vec![Id::new(2), Id::new(3)]);
-        assert_eq!(Terminator::Return.targets(), Vec::<Id>::new());
-        assert_eq!(t.id_operands(), vec![Id::new(1)]);
+        assert_eq!(t.targets().collect::<Vec<_>>(), vec![Id::new(2), Id::new(3)]);
+        assert_eq!(Terminator::Return.targets().count(), 0);
+        assert_eq!(t.id_operands().collect::<Vec<_>>(), vec![Id::new(1)]);
     }
 
     #[test]

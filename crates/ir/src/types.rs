@@ -121,19 +121,16 @@ impl Type {
     }
 
     /// Ids of types this type directly refers to.
-    pub fn referenced_ids(&self) -> Vec<Id> {
-        match self {
-            Type::Void | Type::Bool | Type::Int | Type::Float => Vec::new(),
-            Type::Vector { component, .. } => vec![*component],
-            Type::Array { element, .. } => vec![*element],
-            Type::Struct { members } => members.clone(),
-            Type::Pointer { pointee, .. } => vec![*pointee],
-            Type::Function { ret, params } => {
-                let mut ids = vec![*ret];
-                ids.extend(params.iter().copied());
-                ids
-            }
-        }
+    pub fn referenced_ids(&self) -> impl Iterator<Item = Id> + '_ {
+        let (head, rest): (Option<Id>, &[Id]) = match self {
+            Type::Void | Type::Bool | Type::Int | Type::Float => (None, &[]),
+            Type::Vector { component: id, .. }
+            | Type::Array { element: id, .. }
+            | Type::Pointer { pointee: id, .. } => (Some(*id), &[]),
+            Type::Struct { members } => (None, members),
+            Type::Function { ret, params } => (Some(*ret), params),
+        };
+        head.into_iter().chain(rest.iter().copied())
     }
 }
 
@@ -162,7 +159,8 @@ mod tests {
     #[test]
     fn referenced_ids_cover_function_types() {
         let ty = Type::Function { ret: Id::new(1), params: vec![Id::new(2), Id::new(3)] };
-        assert_eq!(ty.referenced_ids(), vec![Id::new(1), Id::new(2), Id::new(3)]);
+        let ids: Vec<Id> = ty.referenced_ids().collect();
+        assert_eq!(ids, vec![Id::new(1), Id::new(2), Id::new(3)]);
     }
 
     #[test]

@@ -11,12 +11,10 @@
 //! per call rather than by scanning the module: an id table recording each
 //! id's declaring kind, value type, and type, constant, global or function
 //! declaration, and per function a label index, predecessor sets and
-//! definition sites. Ids index the table directly while they stay within a
-//! small multiple of the declaration count, as builders and fuzzers number
-//! them, so a call is linear in the module's size apart from sorting each
-//! function's branch edges and each phi's operands; sparser ids (a decoded
-//! module may carry any) fall back to binary search over the sorted ids, so
-//! memory stays O(module) whatever the id values.
+//! definition sites. The id table is the sorted list of declared ids, looked
+//! up by binary search, so a call costs O(n log n) in the module's size and
+//! its memory stays O(module) whatever ids and id bound the module carries
+//! (a decoded module may carry any).
 //! [`reference`](mod@reference) keeps the original scan-based checker;
 //! `tests/validate_equivalence.rs` pins the two to equal results, messages
 //! included.
@@ -25,10 +23,10 @@ use std::collections::{BTreeSet, HashSet};
 use std::error::Error;
 use std::fmt;
 
-use crate::cfg::{branch_targets, Dominators};
+use crate::cfg::Dominators;
 use crate::{
-    BinOp, ConstantDecl, ConstantValue, Function, GlobalVariable, Id, Merge, Module, Op,
-    StorageClass, Terminator, Type, UnOp,
+    BinOp, ConstantDecl, ConstantValue, Function, GlobalVariable, Id, Module, Op, StorageClass,
+    Terminator, Type, UnOp,
 };
 
 pub mod reference;
@@ -167,44 +165,21 @@ enum Local {
     Result { block: Id, index: u32 },
 }
 
-/// Maps a declared id to its entry in [`IdTable::info`].
-enum Slots {
-    /// Indexed by raw id. Used while the largest declared id is within a
-    /// small multiple of the declaration count, so the table's size follows
-    /// the module's, whatever ids and id bound it carries.
-    Dense(Vec<u32>),
-    /// The distinct declared ids, sorted; an id's entry is its position.
-    Sorted(Vec<Id>),
-}
-
-const NO_SLOT: u32 = u32::MAX;
-
 /// Every declared id with its [`IdInfo`].
 struct IdTable {
-    slots: Slots,
+    /// The distinct declared ids, sorted; an id's entry is its position.
+    ids: Vec<Id>,
     info: Vec<IdInfo>,
 }
 
 impl IdTable {
     /// Builds the table, reporting declaration errors in declaration order.
     fn build(module: &Module, errors: &mut Vec<String>) -> Self {
-        let (mut count, mut max) = (0usize, 0u32);
-        for_each_declaration(module, |id, _| {
-            count += 1;
-            max = max.max(id.raw());
-        });
-        let mut table = if (max as usize) < 4 * count + 64 {
-            IdTable {
-                slots: Slots::Dense(vec![NO_SLOT; max as usize + 1]),
-                info: Vec::with_capacity(count),
-            }
-        } else {
-            let mut ids = Vec::with_capacity(count);
-            for_each_declaration(module, |id, _| ids.push(id));
-            ids.sort_unstable();
-            ids.dedup();
-            IdTable { info: vec![IdInfo::default(); ids.len()], slots: Slots::Sorted(ids) }
-        };
+        let mut ids = Vec::new();
+        for_each_declaration(module, |id, _| ids.push(id));
+        ids.sort_unstable();
+        ids.dedup();
+        let mut table = IdTable { info: vec![IdInfo::default(); ids.len()], ids };
         for_each_declaration(module, |id, decl| {
             let info = table.entry(id);
             if id.is_placeholder() {
@@ -249,37 +224,19 @@ impl IdTable {
         table
     }
 
-    fn slot(&self, id: Id) -> Option<usize> {
-        match &self.slots {
-            Slots::Dense(slots) => match slots.get(id.raw() as usize) {
-                Some(&slot) if slot != NO_SLOT => Some(slot as usize),
-                _ => None,
-            },
-            Slots::Sorted(ids) => ids.binary_search(&id).ok(),
-        }
-    }
-
-    /// The entry of `id`, which a declaration is adding to the table.
-    fn entry(&mut self, id: Id) -> &mut IdInfo {
-        if let Slots::Dense(slots) = &mut self.slots {
-            let slot = &mut slots[id.raw() as usize];
-            if *slot == NO_SLOT {
-                *slot = index(self.info.len());
-                self.info.push(IdInfo::default());
-            }
-        }
-        let slot = self.slot(id).expect("every declared id has a slot");
-        &mut self.info[slot]
-    }
-
     fn get(&self, id: Id) -> Option<&IdInfo> {
-        self.slot(id).map(|slot| &self.info[slot])
+        self.ids.binary_search(&id).ok().map(|slot| &self.info[slot])
+    }
+
+    /// The entry of declared `id`.
+    fn entry(&mut self, id: Id) -> &mut IdInfo {
+        let slot = self.ids.binary_search(&id).expect("every declared id is in the table");
+        &mut self.info[slot]
     }
 
     /// The entry of declared `id` as seen from function `scope`.
     fn scoped(&mut self, id: Id, scope: u32) -> &mut IdInfo {
-        let slot = self.slot(id).expect("every declared id has a slot");
-        let info = &mut self.info[slot];
+        let info = self.entry(id);
         if info.scope != scope {
             info.scope = scope;
             info.block = None;
@@ -326,19 +283,6 @@ pub fn validate(module: &Module) -> Result<(), ValidationError> {
     } else {
         Err(ValidationError { errors: checker.errors })
     }
-}
-
-/// The ids a type refers to, in declaration order.
-fn type_refs(ty: &Type) -> impl Iterator<Item = Id> + '_ {
-    let (head, rest): (Option<Id>, &[Id]) = match ty {
-        Type::Void | Type::Bool | Type::Int | Type::Float => (None, &[]),
-        Type::Vector { component: id, .. }
-        | Type::Array { element: id, .. }
-        | Type::Pointer { pointee: id, .. } => (Some(*id), &[]),
-        Type::Struct { members } => (None, members),
-        Type::Function { ret, params } => (Some(*ret), params),
-    };
-    head.into_iter().chain(rest.iter().copied())
 }
 
 /// The callees of every call in `f`, in instruction order.
@@ -396,7 +340,7 @@ impl<'m> Checker<'m> {
     fn check_types(&mut self) {
         let module = self.module;
         for (position, decl) in module.types.iter().enumerate() {
-            for referenced in type_refs(&decl.ty) {
+            for referenced in decl.ty.referenced_ids() {
                 if !self.earlier_type(referenced, position) {
                     self.err(format!(
                         "type {} refers to {referenced}, which is not an earlier type",
@@ -640,7 +584,7 @@ impl<'m> Checker<'m> {
 
         self.preds.clear();
         for b in &f.blocks {
-            self.preds.extend(branch_targets(&b.terminator).map(|target| (target, b.label)));
+            self.preds.extend(b.terminator.targets().map(|target| (target, b.label)));
         }
         self.preds.sort_unstable();
         self.preds.dedup();
@@ -808,19 +752,14 @@ impl<'m> Checker<'m> {
             }
 
             // Terminator checks.
-            for target in branch_targets(&b.terminator) {
+            for target in b.terminator.targets() {
                 if !self.has_label(target) {
                     self.err(format!("{} branches to unknown block {target}", b.label));
                 } else if target == entry {
                     self.err(format!("{} branches to the entry block", b.label));
                 }
             }
-            let operand = match b.terminator {
-                Terminator::BranchConditional { cond, .. } => Some(cond),
-                Terminator::ReturnValue { value } => Some(value),
-                _ => None,
-            };
-            if let Some(id) = operand {
+            for id in b.terminator.id_operands() {
                 if !self.value_kind_ok(id) {
                     self.err(format!("terminator operand {id} in {} is not a value", b.label));
                 } else if let Err(e) =
@@ -864,11 +803,7 @@ impl<'m> Checker<'m> {
                 _ => {}
             }
             if let Some(merge) = b.merge {
-                let (merge_block, cont) = match merge {
-                    Merge::Selection { merge } => (merge, None),
-                    Merge::Loop { merge, cont } => (merge, Some(cont)),
-                };
-                for label in std::iter::once(merge_block).chain(cont) {
+                for label in merge.referenced_labels() {
                     if !self.has_label(label) {
                         self.err(format!(
                             "merge annotation on {} names unknown block {label}",

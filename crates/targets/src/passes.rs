@@ -357,7 +357,7 @@ pub fn cfg_simplification(module: &mut Module) {
                 // No other block may use b as a merge/continue target.
                 let referenced = function.blocks.iter().any(|blk| {
                     blk.merge
-                        .is_some_and(|m| m.referenced_labels().contains(&b_label))
+                        .is_some_and(|m| m.referenced_labels().any(|l| l == b_label))
                 });
                 if referenced {
                     continue;
