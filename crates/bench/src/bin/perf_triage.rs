@@ -6,25 +6,23 @@
 //! `(target, signature)` pair, and reduce each bug's transformation
 //! sequence. Probes run exactly the pipeline's oracle path — the reference
 //! side served once per reduction from a [`ReferenceOracle`], the variant
-//! side executed on the **fast pre-decoded interpreter**
-//! ([`Target::with_fast_interp`]), so the recorded wall-clocks measure the
-//! engine the pipeline actually ships. Every bug is reduced under five
+//! side compiled and executed live by a plain catalog [`Target`], whose
+//! compiled code runs on the fast pre-decoded interpreter (the only engine
+//! `Target::execute` uses) — so the recorded wall-clocks measure the engine
+//! the pipeline actually ships. Every bug is reduced under four
 //! configurations:
 //!
-//! 1. **serial** — prefix-cache budget 0, no verdict memo, no speculation:
-//!    the reference engine, which replays each candidate prefix with a
-//!    fresh `apply_sequence` (quadratic in sequence length);
-//! 2. **cached** — the per-reduction prefix cache plus the verdict memo,
-//!    serial probing;
+//! 1. **serial** — prefix-cache budget 0, no verdict memo: the reference
+//!    engine, which replays each candidate prefix with a fresh
+//!    `apply_sequence` (quadratic in sequence length);
+//! 2. **cached** — the per-reduction prefix cache plus the verdict memo;
 //! 3. **shared** — one sharded byte-budgeted [`SharedPrefixCache`] across
-//!    *all* bugs (sequential probing): sibling reductions walk each
-//!    other's transition chains instead of re-warming private caches;
-//! 4. **speculative** — shared cache + memo + speculative parallel probing
-//!    on a worker pool; prefetches insert through the cache's probationary
-//!    segment, so a prefetch storm cannot evict the confirmed path;
-//! 5. **parallel** — the cached engine with bugs reduced *concurrently*
-//!    across the pool (the pipeline's `reduction_threads` mode); only its
-//!    wall-clock is recorded.
+//!    *all* bugs: sibling reductions walk each other's transition chains
+//!    instead of re-warming private caches;
+//! 4. **parallel** — the cached engine with bugs reduced *concurrently*
+//!    on a worker pool as wide as the host's available parallelism (the
+//!    pipeline's `reduction_threads` mode); only its wall-clock is
+//!    recorded.
 //!
 //! The binary asserts the engine's contract before writing the baseline:
 //! all configurations must produce byte-identical reduction logs, reduced
@@ -35,8 +33,8 @@
 //! (`cache.lookups == probes_journaled + unprobed_lookups`; seeded rows
 //! journal one extra initial record per bug with no lookup). Any violation
 //! exits nonzero, so CI runs this in smoke mode (`--tests 8`) as a
-//! regression gate. Speculative-vs-cached wall-clock is reported but only
-//! warned about: shared CI runners make timing gates flaky by design.
+//! regression gate. Wall-clocks are reported, never gated: shared CI
+//! runners make timing gates flaky by design.
 //!
 //! Campaign tests are deepened by chaining `--rounds` fuzzer runs end to
 //! end (each round fuzzes the previous round's variant, concatenating the
@@ -44,9 +42,9 @@
 //! transformations — that spirv-fuzz produces in practice and that make
 //! full-replay reduction quadratic.
 //!
-//! Usage: `perf_triage [--tests N] [--rounds R] [--seed S] [--threads T]
+//! Usage: `perf_triage [--tests N] [--rounds R] [--seed S]
 //! [--cache-budget E] [--cache-budget-bytes B] [--cache-shards S]
-//! [--speculation W] [--out FILE] [--metrics-out FILE]`
+//! [--out FILE] [--metrics-out FILE]`
 //!
 //! `--metrics-out FILE` runs one extra *untimed* pass over the triage set
 //! with a deterministic-mode [`trx_observe::RecordingSink`] attached to
@@ -234,11 +232,10 @@ fn main() {
     let tests = arg_usize("--tests", 12);
     let rounds = arg_usize("--rounds", 48).max(1);
     let seed_base = arg_u64("--seed", 0);
-    let threads = arg_usize("--threads", 4).max(1);
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let cache_budget = arg_usize("--cache-budget", 4096).max(1);
     let cache_budget_bytes = arg_usize("--cache-budget-bytes", 64 << 20).max(1);
     let cache_shards = arg_usize("--cache-shards", 8).max(1);
-    let speculation = arg_usize("--speculation", 2);
     let out = arg_string("--out", "BENCH_perf.json");
     let metrics_out = arg_string("--metrics-out", "");
     let tool = Tool::SpirvFuzz;
@@ -250,8 +247,7 @@ fn main() {
     // matters). Deepened problems are kept only when the final variant
     // still triggers the same signature, so the reduction is a pure
     // function of the deep sequence.
-    let targets: Arc<Vec<Target>> =
-        Arc::new(catalog::all_targets().into_iter().map(Target::with_fast_interp).collect());
+    let targets: Arc<Vec<Target>> = Arc::new(catalog::all_targets());
     let donors = donor_modules();
     let mut problems: Vec<Problem> = Vec::new();
     let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
@@ -284,26 +280,12 @@ fn main() {
     let serial_opts = ReducerOptions {
         prefix_cache_budget: 0,
         memoize_verdicts: false,
-        speculation: 1,
         ..defaults
     };
     let cached_opts = ReducerOptions {
         prefix_cache_budget: cache_budget,
         memoize_verdicts: true,
         ..serial_opts
-    };
-    // The speculative row runs with the hit-rate/pressure throttle armed:
-    // on a cold shared cache prefetch materializations replay deep
-    // prefixes from scratch, so batches stay suppressed until sibling
-    // reductions have warmed the cache enough that prefetch replays are
-    // chain walks. The width defaults to an explicit 2 rather than the
-    // auto width (0): auto clamps to the host's parallelism, which on a
-    // single-CPU CI runner disables prefetch entirely and would leave the
-    // row measuring nothing but the shared cache.
-    let speculative_opts = ReducerOptions {
-        speculation,
-        speculation_min_hit_permille: 500,
-        ..cached_opts
     };
 
     // Stage 2: the sequential configurations, back to back.
@@ -330,39 +312,7 @@ fn main() {
     );
     let shared_wall = start.elapsed().as_millis() as u64;
 
-    // Stage 3: speculative parallel probing against a fresh shared cache —
-    // prefetches land in the probationary segment and the eviction-pressure
-    // throttle reads the cache's global churn.
-    let live_spec = AtomicU64::new(0);
-    let spec_cache = Arc::new(SharedPrefixCache::new(cache_budget_bytes, cache_shards));
-    let spec_oracles: Vec<ReferenceOracle> = problems
-        .iter()
-        .map(|p| ReferenceOracle::new(p.test.tool, &p.test.original))
-        .collect();
-    let start = Instant::now();
-    let spec_runs = with_pool(threads, |pool| {
-        problems
-            .iter()
-            .zip(&spec_oracles)
-            .map(|(p, oracle)| {
-                let probe = make_probe(&targets, p, oracle, &live_spec);
-                Reducer::new(speculative_opts)
-                    .with_shared_cache(Arc::clone(&spec_cache))
-                    .reduce_speculative_seeded(
-                        &p.test.original,
-                        &p.test.transformations,
-                        &p.test.variant,
-                        &ReductionLog::new(),
-                        probe,
-                        |_, _| {},
-                        pool,
-                    )
-            })
-            .collect::<Vec<_>>()
-    });
-    let spec_wall = start.elapsed().as_millis() as u64;
-
-    // Stage 4: per-bug parallelism (the pipeline's reduction_threads mode):
+    // Stage 3: per-bug parallelism (the pipeline's reduction_threads mode):
     // cached serial engines, bugs distributed over the pool.
     let live_parallel = AtomicU64::new(0);
     let start = Instant::now();
@@ -420,16 +370,14 @@ fn main() {
         eprintln!("wrote {metrics_out}");
     }
 
-    // Stage 5: the contract — every configuration lands on the same bytes.
+    // Stage 4: the contract — every configuration lands on the same bytes.
     let equivalent = same("cached", &cached_runs, &serial_runs)
         & same("shared", &shared_runs, &serial_runs)
-        & same("speculative", &spec_runs, &serial_runs)
         & same("parallel", &parallel_runs, &serial_runs);
 
     let serial = summarize("serial", &serial_runs, &live_serial, serial_wall);
     let cached = summarize("cached", &cached_runs, &live_cached, cached_wall);
     let shared = summarize("shared", &shared_runs, &live_shared, shared_wall);
-    let speculative = summarize("speculative", &spec_runs, &live_spec, spec_wall);
 
     let serial_applied = serial.engine.cache.transformations_applied;
     let cached_applied = cached.engine.cache.transformations_applied;
@@ -449,7 +397,6 @@ fn main() {
         serial,
         cached,
         shared,
-        speculative,
         parallel_wall_ms,
         apply_reduction_factor,
         parallel_speedup,
@@ -488,19 +435,6 @@ fn main() {
     rows.extend(fmt_engine(&baseline.serial));
     rows.extend(fmt_engine(&baseline.cached));
     rows.extend(fmt_engine(&baseline.shared));
-    rows.extend(fmt_engine(&baseline.speculative));
-    rows.push(vec![
-        "speculative launches".to_owned(),
-        baseline.speculative.engine.speculative_probes.to_string(),
-    ]);
-    rows.push(vec![
-        "speculative hits".to_owned(),
-        baseline.speculative.engine.speculative_hits.to_string(),
-    ]);
-    rows.push(vec![
-        "speculative pressure throttles".to_owned(),
-        baseline.speculative.engine.speculative_pressure_throttles.to_string(),
-    ]);
     rows.push(vec![
         "parallel wall ms".to_owned(),
         baseline.parallel_wall_ms.to_string(),
@@ -538,10 +472,7 @@ fn main() {
         );
         failed = true;
     }
-    // The probe-accounting balance on every deterministic sequential row.
-    // (The speculative row obeys the same algebra — each materialize is one
-    // lookup, either journaled or counted unprobed — but its totals depend
-    // on prefetch timing, so it is reported, not gated.)
+    // The probe-accounting balance on every sequential row.
     let bugs = baseline.bugs_reduced as u64;
     for (row, seeded_bugs) in
         [(&baseline.serial, 0), (&baseline.cached, bugs), (&baseline.shared, bugs)]
@@ -556,17 +487,6 @@ fn main() {
             );
             failed = true;
         }
-    }
-    let spec_gap = lookup_gap(&baseline.speculative, bugs);
-    if spec_gap != 0 {
-        eprintln!("note: speculative row lookup gap {spec_gap} (timing-dependent, not gated)");
-    }
-    if baseline.speculative.wall_ms > baseline.cached.wall_ms {
-        eprintln!(
-            "WARN: speculative wall-clock {} ms exceeds cached {} ms (not gated: \
-             shared runners make timing flaky)",
-            baseline.speculative.wall_ms, baseline.cached.wall_ms,
-        );
     }
     if failed {
         std::process::exit(1);

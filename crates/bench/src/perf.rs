@@ -19,16 +19,16 @@ use trx_reducer::EngineStats;
 /// every bug in the benchmark's triage set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineBaseline {
-    /// Configuration name (`serial`, `cached`, `shared`, `speculative`).
+    /// Configuration name (`serial`, `cached`, `shared`).
     pub name: String,
     /// Journaled probe invocations (replayed + live + memo hits) — equal
     /// across configurations by the equivalence invariant.
     pub probes_journaled: u64,
-    /// Oracle invocations that actually ran, including speculative probes
-    /// whose verdicts were later discarded.
+    /// Oracle invocations that actually ran: journaled probes the verdict
+    /// memo did not answer.
     pub live_probes: u64,
     /// Engine work counters summed over all bugs: prefix-cache
-    /// applications/saves, memo hits, speculative launches/consumptions.
+    /// applications/saves, memo hits, unprobed lookups.
     pub engine: EngineStats,
     /// Wall-clock for reducing every bug back to back, in milliseconds.
     pub wall_ms: u64,
@@ -46,7 +46,8 @@ pub struct PerfBaseline {
     pub rounds: usize,
     /// First campaign seed.
     pub seed_base: u64,
-    /// Worker threads for the speculative and per-bug-parallel runs.
+    /// Worker threads for the per-bug-parallel run: the host's available
+    /// parallelism.
     pub threads: usize,
     /// Distinct `(target, signature)` bugs reduced.
     pub bugs_reduced: usize,
@@ -54,11 +55,11 @@ pub struct PerfBaseline {
     /// delta debugging replays quadratically without the cache).
     pub sequence_transformations: usize,
     /// The byte budget of the shared sharded prefix cache (the `shared`
-    /// and `speculative` rows), in bytes.
+    /// row), in bytes.
     pub cache_budget_bytes: usize,
     /// Shard count of the shared sharded prefix cache.
     pub cache_shards: usize,
-    /// The budget-0, memo-off, speculation-off reference engine.
+    /// The budget-0, memo-off reference engine.
     pub serial: EngineBaseline,
     /// Per-reduction prefix cache + verdict memo, serial probing.
     pub cached: EngineBaseline,
@@ -66,9 +67,6 @@ pub struct PerfBaseline {
     /// (sequential probing): sibling reductions reuse each other's
     /// transition chains instead of re-warming private caches.
     pub shared: EngineBaseline,
-    /// Shared cache + verdict memo + speculative parallel probing;
-    /// prefetches insert through the cache's probationary segment.
-    pub speculative: EngineBaseline,
     /// Wall-clock for the cached engine reducing bugs concurrently across
     /// the worker pool (the pipeline's `reduction_threads` mode), in
     /// milliseconds.
@@ -112,9 +110,5 @@ pub fn accumulate(total: &mut EngineStats, delta: &EngineStats) {
     total.cache.transformations_saved += delta.cache.transformations_saved;
     total.cache.evictions += delta.cache.evictions;
     total.memo_hits += delta.memo_hits;
-    total.speculative_probes += delta.speculative_probes;
-    total.speculative_hits += delta.speculative_hits;
-    total.speculative_throttles += delta.speculative_throttles;
-    total.speculative_pressure_throttles += delta.speculative_pressure_throttles;
     total.unprobed_lookups += delta.unprobed_lookups;
 }

@@ -63,8 +63,6 @@ pub use descriptor::{Anchor, InstructionDescriptor, ResolvedPoint, UseDescriptor
 pub use facts::{DataDescriptor, FactStore};
 pub use fingerprint::{context_fingerprint, transformation_id};
 pub use prefix::{Materialized, PrefixCache, PrefixCacheStats};
-pub use prefix_shared::{
-    InsertOutcome, InsertPriority, SharedCacheSession, SharedCacheStats, SharedPrefixCache,
-};
+pub use prefix_shared::{InsertOutcome, SharedCacheSession, SharedCacheStats, SharedPrefixCache};
 pub use size::context_size_estimate;
 pub use transformation::{apply, apply_sequence, Transformation, TransformationKind};

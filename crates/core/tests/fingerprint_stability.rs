@@ -1,12 +1,12 @@
 //! Pinned fingerprint values for a small fixed corpus.
 //!
 //! [`context_fingerprint`] and [`transformation_id`] are *persistent*
-//! identities: they key the reducer's verdict memo, the prefix cache, and
-//! the speculative-probe rendezvous, and they are meant to be comparable
-//! across processes and releases. An accidental change to the stable
-//! hasher, the module binary encoding, or the transformation debug format
-//! would silently invalidate all of those, so this suite pins the exact
-//! u64 values for a handful of hand-built contexts and transformations.
+//! identities: they key the reducer's verdict memo and both prefix caches,
+//! and they are meant to be comparable across processes and releases. An
+//! accidental change to the stable hasher, the module binary encoding, or
+//! the transformation debug format would silently invalidate all of those,
+//! so this suite pins the exact u64 values for a handful of hand-built
+//! contexts and transformations.
 //!
 //! If one of these assertions fails, either revert the encoding change or
 //! — if the change is deliberate — update the pinned values *and* call the

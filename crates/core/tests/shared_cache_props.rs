@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use trx_core::transformations::{AddConstant, SetFunctionControl};
 use trx_core::{
     apply_sequence, context_fingerprint, context_size_estimate, transformation_id, Context,
-    InsertPriority, SharedCacheSession, SharedPrefixCache, Transformation,
+    SharedCacheSession, SharedPrefixCache, Transformation,
 };
 use trx_ir::{ConstantValue, FunctionControl, Id, Inputs, ModuleBuilder, Type};
 
@@ -100,9 +100,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Session-level fingerprint safety: concurrent sessions materializing
-    /// overlapping delta-debugging candidates — some speculative — through
-    /// one shared cache each reproduce the reference replay byte for byte,
-    /// for every budget/shard/thread mix.
+    /// overlapping delta-debugging candidates through one shared cache each
+    /// reproduce the reference replay byte for byte, for every
+    /// budget/shard/thread mix.
     #[test]
     fn concurrent_sessions_match_the_reference_replay(
         genes in vec(0u32..10_000, 3..10),
@@ -122,8 +122,8 @@ proptest! {
                 s.spawn(move || {
                     let mut session = SharedCacheSession::new(cache);
                     // Each thread walks a different half of the chunk-
-                    // deletion schedule, mixing confirmed and speculative
-                    // priorities, so threads both produce and consume edges.
+                    // deletion schedule, so threads both produce and
+                    // consume edges.
                     for start in 0..sequence.len() {
                         for end in start..=sequence.len() {
                             if (start + end + t) % 2 == 0 {
@@ -133,17 +133,7 @@ proptest! {
                             candidate.extend_from_slice(&sequence[end..]);
                             let ids: Vec<u64> =
                                 candidate.iter().map(transformation_id).collect();
-                            let priority = if (start + t) % 3 == 0 {
-                                InsertPriority::Speculative
-                            } else {
-                                InsertPriority::Confirmed
-                            };
-                            let m = session.materialize_with_ids(
-                                original,
-                                &candidate,
-                                &ids,
-                                priority,
-                            );
+                            let m = session.materialize_with_ids(original, &candidate, &ids);
                             let mut want = original.clone();
                             let want_mask = apply_sequence(&mut want, &candidate);
                             assert_eq!(m.mask, want_mask, "mask diverged on thread {t}");
@@ -181,11 +171,6 @@ proptest! {
                 s.spawn(move || {
                     for (i, &w) in key_words.iter().enumerate() {
                         let key = (w % 32, (w / 32) % 8);
-                        let priority = if (i + t) % 2 == 0 {
-                            InsertPriority::Confirmed
-                        } else {
-                            InsertPriority::Speculative
-                        };
                         if (i + t) % 3 == 0 {
                             cache.insert(
                                 key,
@@ -193,9 +178,8 @@ proptest! {
                                 payload_applied(key),
                                 payload_fp(key),
                                 bytes,
-                                priority,
                             );
-                        } else if let Some((_, applied, fp)) = cache.lookup(key, priority) {
+                        } else if let Some((_, applied, fp)) = cache.lookup(key) {
                             assert_eq!(
                                 fp,
                                 payload_fp(key),
@@ -210,12 +194,12 @@ proptest! {
         cache.debug_check_accounting();
     }
 
-    /// Byte accounting under arbitrary churn: charges of arbitrary sizes,
-    /// mixed priorities, replacement of live keys. After every operation the
-    /// resident-byte gauge equals the sum of edge charges (no underflow is
-    /// possible without this test's sum check tripping first) and stays
-    /// within every shard's budget slice. A confirmed insert is only ever
-    /// refused when the entry alone exceeds a whole shard's budget.
+    /// Byte accounting under arbitrary churn: charges of arbitrary sizes and
+    /// replacement of live keys. After every operation the resident-byte
+    /// gauge equals the sum of edge charges (no underflow is possible
+    /// without this test's sum check tripping first) and stays within every
+    /// shard's budget slice. An insert is only ever refused when the entry
+    /// alone exceeds a whole shard's budget.
     #[test]
     fn byte_accounting_stays_exact_under_arbitrary_churn(
         op_words in vec(0u64..(1 << 32), 1..200),
@@ -228,19 +212,12 @@ proptest! {
         for &w in &op_words {
             let key = (w % 16, (w / 16) % 4);
             let bytes = ((w >> 8) % 4096) as usize;
-            let speculative = (w >> 21) & 1 == 1;
-            let priority = if speculative {
-                InsertPriority::Speculative
-            } else {
-                InsertPriority::Confirmed
-            };
-            let outcome =
-                cache.insert(key, Arc::clone(&ctx), true, payload_fp(key), bytes, priority);
+            let outcome = cache.insert(key, Arc::clone(&ctx), true, payload_fp(key), bytes);
             cache.debug_check_accounting();
             if !outcome.inserted {
                 prop_assert!(
-                    bytes > shard_budget || speculative,
-                    "confirmed insert of {bytes} bytes refused under shard budget {shard_budget}"
+                    bytes > shard_budget,
+                    "insert of {bytes} bytes refused under shard budget {shard_budget}"
                 );
             }
             let stats = cache.stats();

@@ -344,9 +344,10 @@ pub(crate) fn attempt_classify<T: TestTarget + ?Sized>(
 /// execute_reference`] stays clean even under fault injection), so its
 /// result can be computed once per reduction and replayed from memory.
 ///
-/// The first fill happens under the lock, so concurrent speculative probes
-/// still produce exactly one execution — keeping the engine-level
-/// `modules_decoded`/`decode_reuses` counters thread-invariant.
+/// The first fill happens under the lock, so probes sharing one oracle
+/// across threads still produce exactly one execution — keeping the
+/// engine-level `modules_decoded`/`decode_reuses` counters
+/// thread-invariant.
 pub struct ReferenceOracle {
     /// The already-prepared (tool-encoded and re-decoded) reference module.
     module: Module,

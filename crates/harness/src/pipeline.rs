@@ -166,7 +166,7 @@ impl Default for PipelineConfig {
 /// [`signature_key`] and carrying the interesting transformation kinds of
 /// the reduced sequence. A pipeline seeded with this map answers matching
 /// bugs as duplicates without re-reducing them (see
-/// [`run_pipeline_with_known`]).
+/// [`run_pipeline_with_known_observed_cached`]).
 pub type KnownSignatures = BTreeMap<String, BTreeSet<TransformationKind>>;
 
 /// The stable cross-job identity of a bug: target name and signature,
@@ -882,27 +882,6 @@ pub fn run_pipeline<T: TestTarget + Send + Sync + 'static>(
     run_pipeline_observed(config, targets, journal, sink, &SinkHandle::noop())
 }
 
-/// [`run_pipeline`] seeded with the signatures earlier jobs already
-/// reduced: a bug whose [`signature_key`] appears in `known` is journaled
-/// as a [`WalRecord::Duplicate`], reported under
-/// [`PipelineReport::duplicates`], and costs zero reduction probes. The
-/// decision is made once per bug and journaled, so kill/resume replays it
-/// instead of re-deciding — resuming with a *different* `known` map still
-/// honours the journaled decisions.
-///
-/// # Errors
-///
-/// Exactly [`run_pipeline`]'s errors.
-pub fn run_pipeline_with_known<T: TestTarget + Send + Sync + 'static>(
-    config: &PipelineConfig,
-    targets: &Arc<Vec<T>>,
-    known: &KnownSignatures,
-    journal: &Journal,
-    sink: impl FnMut(&WalRecord),
-) -> Result<PipelineReport, HarnessError> {
-    run_pipeline_with_known_observed(config, targets, known, journal, sink, &SinkHandle::noop())
-}
-
 /// [`run_pipeline`] with live instrumentation: every stage streams
 /// counters and timings to `observe` (see [`trx_observe`] for the counter
 /// glossary and determinism levels).
@@ -922,30 +901,6 @@ pub fn run_pipeline_observed<T: TestTarget + Send + Sync + 'static>(
     outer_sink: impl FnMut(&WalRecord),
     observe: &SinkHandle,
 ) -> Result<PipelineReport, HarnessError> {
-    run_pipeline_with_known_observed(
-        config,
-        targets,
-        &KnownSignatures::new(),
-        journal,
-        outer_sink,
-        observe,
-    )
-}
-
-/// [`run_pipeline_with_known`] with live instrumentation; each suppressed
-/// duplicate additionally bumps `dedup_store_hits` under [`Scope::Dedup`].
-///
-/// # Errors
-///
-/// Exactly [`run_pipeline`]'s errors.
-pub fn run_pipeline_with_known_observed<T: TestTarget + Send + Sync + 'static>(
-    config: &PipelineConfig,
-    targets: &Arc<Vec<T>>,
-    known: &KnownSignatures,
-    journal: &Journal,
-    outer_sink: impl FnMut(&WalRecord),
-    observe: &SinkHandle,
-) -> Result<PipelineReport, HarnessError> {
     // One shared cache per run, when the byte budget enables it; callers
     // that want the cache to outlive the run (the triage daemon, which
     // keeps one per worker shard across jobs) use
@@ -955,7 +910,7 @@ pub fn run_pipeline_with_known_observed<T: TestTarget + Send + Sync + 'static>(
     run_pipeline_with_known_observed_cached(
         config,
         targets,
-        known,
+        &KnownSignatures::new(),
         journal,
         outer_sink,
         observe,
@@ -963,13 +918,22 @@ pub fn run_pipeline_with_known_observed<T: TestTarget + Send + Sync + 'static>(
     )
 }
 
-/// [`run_pipeline_with_known_observed`] walking reductions through a
-/// caller-owned [`SharedPrefixCache`] (or private per-reduction caches
-/// when `shared_cache` is `None`, regardless of
-/// [`PipelineConfig::cache_budget_bytes`]). Passing a cache that outlives
-/// the run lets later jobs reuse snapshots earlier jobs paid for; the
-/// cache is behaviorally invisible either way, so the journal and report
-/// bytes never depend on it.
+/// [`run_pipeline_observed`] seeded with the signatures earlier jobs
+/// already reduced, walking reductions through a caller-owned
+/// [`SharedPrefixCache`].
+///
+/// A bug whose [`signature_key`] appears in `known` is journaled as a
+/// [`WalRecord::Duplicate`], reported under [`PipelineReport::duplicates`],
+/// bumps `dedup_store_hits` under [`Scope::Dedup`], and costs zero
+/// reduction probes. The decision is made once per bug and journaled, so
+/// kill/resume replays it instead of re-deciding — resuming with a
+/// *different* `known` map still honours the journaled decisions.
+///
+/// Reductions walk `shared_cache`, or private per-reduction caches when it
+/// is `None`, regardless of [`PipelineConfig::cache_budget_bytes`].
+/// Passing a cache that outlives the run lets later jobs reuse snapshots
+/// earlier jobs paid for; the cache is behaviorally invisible either way,
+/// so the journal and report bytes never depend on it.
 ///
 /// # Errors
 ///
@@ -1042,10 +1006,9 @@ pub fn run_pipeline_with_known_observed_cached<T: TestTarget + Send + Sync + 'st
     // concurrently on one worker pool, their record streams buffered
     // per bug and merged into the WAL in bug-index order — the exact
     // serial emission order, so the journal bytes (and every resume
-    // decision derived from them) match a serial run. Each concurrent
-    // reduction uses the serial reducer: per-probe speculation and
-    // per-bug parallelism must never share a pool (nested `map` on one
-    // pool can deadlock).
+    // decision derived from them) match a serial run. The reducer itself
+    // never touches the pool, so no task nests a `map` on the pool it
+    // runs on (which could deadlock).
     let donors = donor_modules();
     // The cross-job duplicate decision per bug: journaled decisions (done
     // or duplicate) always win; only undecided bugs consult `known`.
@@ -1387,9 +1350,15 @@ mod tests {
             .map(|b| (signature_key(&b.target, &b.signature), b.kinds.clone()))
             .collect();
         let mut records = Vec::new();
-        let rerun = run_pipeline_with_known(&config, &targets, &known, &Journal::new(), |r| {
-            records.push(r.clone());
-        })
+        let rerun = run_pipeline_with_known_observed_cached(
+            &config,
+            &targets,
+            &known,
+            &Journal::new(),
+            |r| records.push(r.clone()),
+            &SinkHandle::noop(),
+            None,
+        )
         .expect("seeded rerun");
         assert!(rerun.bugs.is_empty());
         assert!(rerun.kept.is_empty());
@@ -1422,9 +1391,15 @@ mod tests {
             .collect();
 
         let mut records = Vec::new();
-        let golden = run_pipeline_with_known(&config, &targets, &known, &Journal::new(), |r| {
-            records.push(r.clone());
-        })
+        let golden = run_pipeline_with_known_observed_cached(
+            &config,
+            &targets,
+            &known,
+            &Journal::new(),
+            |r| records.push(r.clone()),
+            &SinkHandle::noop(),
+            None,
+        )
         .expect("seeded golden run");
         assert_eq!(golden.duplicates.len(), 1);
         let golden_json = golden.to_json().expect("serialises");
@@ -1432,9 +1407,15 @@ mod tests {
         for k in 0..=records.len() {
             let prefix = Journal { records: records[..k].to_vec() };
             let mut emitted = Vec::new();
-            let resumed = run_pipeline_with_known(&config, &targets, &known, &prefix, |r| {
-                emitted.push(r.clone());
-            })
+            let resumed = run_pipeline_with_known_observed_cached(
+                &config,
+                &targets,
+                &known,
+                &prefix,
+                |r| emitted.push(r.clone()),
+                &SinkHandle::noop(),
+                None,
+            )
             .expect("seeded resume");
             assert_eq!(resumed.to_json().expect("serialises"), golden_json);
             assert_eq!(emitted, records[k..].to_vec());

@@ -29,7 +29,7 @@
 //! - [`Level::Engine`] — identical across thread counts on a fresh run, but
 //!   shrinks on resume even for re-executed scopes, because replayed or
 //!   recovered work skips live emission (cache and memo traffic, live probe
-//!   counts, speculation, suffix-only WAL appends, dedup verdict reuse).
+//!   counts, suffix-only WAL appends, dedup verdict reuse).
 //! - [`Level::Volatile`] — scheduling- or wall-clock-dependent (pool task
 //!   counts, watchdog timeouts, raw durations). Excluded from deterministic
 //!   snapshots.
@@ -86,22 +86,13 @@ pub enum Counter {
     /// Cache entries evicted by the LRU budget.
     CacheEvictions,
     /// Materializations that were never followed by a journaled probe
-    /// (mask-filtered shrink candidates, speculative prefetches, and
-    /// budget-exhausted walks) — the audited remainder of
-    /// `cache_lookups - tests_run`.
+    /// (mask-filtered shrink candidates and budget-exhausted walks) — the
+    /// audited remainder of `cache_lookups - tests_run`.
     CacheUnprobedLookups,
     /// Interestingness queries answered by the verdict memo.
     MemoHits,
-    /// Probes that reached the live target (not replayed, memoized,
-    /// or satisfied by a speculative hint).
+    /// Probes that reached the live target (neither replayed nor memoized).
     LiveProbes,
-    /// Speculative probes launched onto the worker pool.
-    SpeculativeLaunches,
-    /// Speculative probes whose results were consumed by the search.
-    SpeculativeHits,
-    /// Speculative prefetches skipped because the observed prefix-cache hit
-    /// rate fell below the configured threshold.
-    SpeculativeThrottles,
     // --- campaign executor (logical) ---
     /// Target incidents recorded in the error ledger.
     Incidents,
@@ -195,19 +186,12 @@ pub enum Counter {
     SharedCacheInsertions,
     /// Transition edges evicted by a shard's byte budget.
     SharedCacheEvictions,
-    /// Insertions refused outright (entry larger than the shard budget, or
-    /// a speculative entry that could not make room in probation).
+    /// Insertions refused outright (entry larger than the shard budget).
     SharedCacheRejected,
-    /// Probationary entries promoted to the protected segment by a
-    /// confirmed-path hit.
-    SharedCachePromotions,
     /// Bytes resident in a shard at flush time (gauge reported as a count).
     SharedCacheResidentBytes,
     /// High-water mark of resident bytes in a shard.
     SharedCachePeakBytes,
-    /// Speculative prefetches skipped because shared-cache eviction
-    /// pressure exceeded the configured threshold.
-    SpeculativePressureThrottles,
     // --- scheduling / wall clock (volatile) ---
     /// Jobs terminated because their wall-clock deadline elapsed.
     JobsDeadlineExceeded,
@@ -244,9 +228,6 @@ impl Counter {
             Counter::CacheUnprobedLookups => "cache_unprobed_lookups",
             Counter::MemoHits => "memo_hits",
             Counter::LiveProbes => "live_probes",
-            Counter::SpeculativeLaunches => "speculative_launches",
-            Counter::SpeculativeHits => "speculative_hits",
-            Counter::SpeculativeThrottles => "speculative_throttles",
             Counter::Incidents => "incidents",
             Counter::Retries => "retries",
             Counter::QuarantinedTargets => "quarantined_targets",
@@ -282,10 +263,8 @@ impl Counter {
             Counter::SharedCacheInsertions => "shared_cache_insertions",
             Counter::SharedCacheEvictions => "shared_cache_evictions",
             Counter::SharedCacheRejected => "shared_cache_rejected",
-            Counter::SharedCachePromotions => "shared_cache_promotions",
             Counter::SharedCacheResidentBytes => "shared_cache_resident_bytes",
             Counter::SharedCachePeakBytes => "shared_cache_peak_bytes",
-            Counter::SpeculativePressureThrottles => "speculative_pressure_throttles",
             Counter::JobsDeadlineExceeded => "jobs_deadline_exceeded",
             Counter::JobsShed => "jobs_shed",
             Counter::JobLatencyNanos => "job_latency_nanos",
@@ -333,9 +312,6 @@ impl Counter {
             | Counter::CacheUnprobedLookups
             | Counter::MemoHits
             | Counter::LiveProbes
-            | Counter::SpeculativeLaunches
-            | Counter::SpeculativeHits
-            | Counter::SpeculativeThrottles
             | Counter::ShardRestarts
             | Counter::ResumeReplays
             | Counter::DedupStoreHits
@@ -351,10 +327,8 @@ impl Counter {
             | Counter::SharedCacheInsertions
             | Counter::SharedCacheEvictions
             | Counter::SharedCacheRejected
-            | Counter::SharedCachePromotions
             | Counter::SharedCacheResidentBytes
             | Counter::SharedCachePeakBytes
-            | Counter::SpeculativePressureThrottles
             | Counter::PoolTasks
             | Counter::JobsDeadlineExceeded
             | Counter::JobsShed
@@ -870,10 +844,8 @@ mod tests {
             Counter::SharedCacheInsertions,
             Counter::SharedCacheEvictions,
             Counter::SharedCacheRejected,
-            Counter::SharedCachePromotions,
             Counter::SharedCacheResidentBytes,
             Counter::SharedCachePeakBytes,
-            Counter::SpeculativePressureThrottles,
         ] {
             assert_eq!(c.level(), Level::Volatile, "{}", c.name());
         }
@@ -908,9 +880,6 @@ mod tests {
             Counter::CacheUnprobedLookups,
             Counter::MemoHits,
             Counter::LiveProbes,
-            Counter::SpeculativeLaunches,
-            Counter::SpeculativeHits,
-            Counter::SpeculativeThrottles,
             Counter::Incidents,
             Counter::Retries,
             Counter::QuarantinedTargets,
@@ -946,10 +915,8 @@ mod tests {
             Counter::SharedCacheInsertions,
             Counter::SharedCacheEvictions,
             Counter::SharedCacheRejected,
-            Counter::SharedCachePromotions,
             Counter::SharedCacheResidentBytes,
             Counter::SharedCachePeakBytes,
-            Counter::SpeculativePressureThrottles,
             Counter::JobsDeadlineExceeded,
             Counter::JobsShed,
             Counter::JobLatencyNanos,

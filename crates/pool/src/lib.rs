@@ -24,8 +24,8 @@
 //!
 //! Nested use (calling [`WorkerPool::map`] from inside a job running on the
 //! same pool) can deadlock a single-threaded pool and is not supported;
-//! the harness therefore never enables per-probe speculation and per-bug
-//! parallelism at the same time.
+//! the harness's pool jobs (campaign tests, per-bug reductions) never
+//! submit work of their own.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -42,49 +42,33 @@
 //! With [`Reducer::with_shared_cache`], the per-reduction cache is replaced
 //! by a session onto a [`trx_core::SharedPrefixCache`] shared across all of
 //! a run's concurrent reductions: sharded, byte-budgeted, and still
-//! behaviorally invisible. Confirmed search candidates insert at full
-//! priority; speculative prefetch inserts through a probationary segment
-//! that can never evict confirmed-path entries.
+//! behaviorally invisible.
 //!
-//! Two further layers are opt-in:
-//!
-//! * **Verdict memoization** ([`ReducerOptions::memoize_verdicts`]): probe
-//!   verdicts are memoized by the candidate context's structural
-//!   fingerprint, so candidates that *normalize* to an already-probed
-//!   context are answered without invoking the oracle. A memo hit still
-//!   counts against [`ReducerOptions::max_tests`] and is journaled as an
-//!   ordinary [`ProbeRecord`], so `reduce_journaled` resume stays
-//!   bit-identical; the memo itself is rebuilt deterministically from the
-//!   replayed records. Off by default because it changes how often a
-//!   *flaky* oracle is consulted (it is an exact optimization only for
-//!   deterministic oracles), and it is only active for 1-of-1 voting.
-//! * **Speculative parallel probing** ([`Reducer::reduce_speculative`],
-//!   width [`ReducerOptions::speculation`]): the independent chunk-removal
-//!   candidates of one delta-debugging round are probed concurrently on a
-//!   [`trx_pool::WorkerPool`], assuming rejections (the common case).
-//!   Outcomes are adopted in canonical back-to-front order as
-//!   first-invocation hints, so for a deterministic oracle the log and
-//!   result are byte-identical to the serial engine; speculative probes
-//!   that turn out stale are discarded unjournaled and cost no test
-//!   budget.
+//! **Verdict memoization** ([`ReducerOptions::memoize_verdicts`]) is
+//! opt-in: probe verdicts are memoized by the candidate context's
+//! structural fingerprint, so candidates that *normalize* to an
+//! already-probed context are answered without invoking the oracle. A memo
+//! hit still counts against [`ReducerOptions::max_tests`] and is journaled
+//! as an ordinary [`ProbeRecord`], so `reduce_journaled` resume stays
+//! bit-identical; the memo itself is rebuilt deterministically from the
+//! replayed records. Off by default because it changes how often a *flaky*
+//! oracle is consulted (it is an exact optimization only for deterministic
+//! oracles), and it is only active for 1-of-1 voting.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use trx_core::{
-    context_fingerprint, transformation_id, Context, InsertPriority, Materialized, PrefixCache,
-    PrefixCacheStats, SharedCacheSession, SharedPrefixCache, Transformation,
+    context_fingerprint, transformation_id, Context, Materialized, PrefixCache, PrefixCacheStats,
+    SharedCacheSession, SharedPrefixCache, Transformation,
 };
 use trx_observe::{Counter, Scope, SinkHandle};
-use trx_pool::WorkerPool;
 
 /// Statistics about a reduction run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -173,7 +157,7 @@ pub struct JournaledReduction {
 /// Work counters for the prefix-memoized engine itself: how much the
 /// caching layers saved. Unlike [`ReductionStats`] (which is part of the
 /// journaled pipeline schema and describes the *search*), these describe
-/// the *machinery* and may differ between serial and speculative runs that
+/// the *machinery* and may differ between cache configurations whose runs
 /// are otherwise byte-identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
@@ -182,23 +166,10 @@ pub struct EngineStats {
     /// Interestingness queries answered from the verdict memo without
     /// invoking the oracle.
     pub memo_hits: u64,
-    /// Probes launched speculatively on the worker pool.
-    pub speculative_probes: u64,
-    /// Speculative probe outcomes actually consumed as query verdicts
-    /// (the rest were discarded as stale).
-    pub speculative_hits: u64,
-    /// Speculative batches suppressed by the cache hit-rate throttle
-    /// ([`ReducerOptions::speculation_min_hit_permille`]).
-    pub speculative_throttles: u64,
-    /// Speculative batches suppressed by the eviction-pressure signal: the
-    /// cache was churning (evicting or rejecting a large fraction of
-    /// inserts), so prefetch replays would only thrash it further. Active
-    /// whenever [`ReducerOptions::speculation_min_hit_permille`] is set.
-    pub speculative_pressure_throttles: u64,
     /// Cache lookups whose materialization was never journaled as a probe:
-    /// shrink candidates whose payload failed to re-apply, speculative
-    /// prefetch materializations, and queries abandoned by budget
-    /// exhaustion before casting a vote. For an unseeded, 1-of-1,
+    /// shrink candidates whose payload failed to re-apply, and queries
+    /// abandoned by budget exhaustion before casting a vote. For an
+    /// unseeded, 1-of-1,
     /// deterministic run the books balance exactly:
     /// `cache.lookups == probes_journaled + unprobed_lookups`
     /// (a seeded run journals one extra initial record with no lookup).
@@ -214,7 +185,7 @@ pub struct Reduction {
     pub context: Context,
     /// Counters describing the run.
     pub stats: ReductionStats,
-    /// Counters describing the engine's caching and speculation layers.
+    /// Counters describing the engine's caching layers.
     pub engine: EngineStats,
 }
 
@@ -258,21 +229,6 @@ pub struct ReducerOptions {
     /// because with a *flaky* oracle it changes which probes actually run
     /// (it is an exact optimization only for deterministic oracles).
     pub memoize_verdicts: bool,
-    /// Speculation width for [`Reducer::reduce_speculative`]: how many of a
-    /// round's upcoming chunk-removal candidates are probed concurrently.
-    /// 0 means "match the worker pool's thread count"; 1 disables
-    /// speculation. Ignored by the serial entry points.
-    pub speculation: usize,
-    /// Prefix-cache hit-rate floor, in permille (0–1000), below which new
-    /// speculative batches stop launching. Speculative probing replays
-    /// candidate prefixes eagerly, and when those replays keep missing the
-    /// cache they thrash the LRU edge budget for no benefit; this throttle
-    /// keys launch decisions off the observed hit rate (the same numbers
-    /// the `cache_lookups`/`cache_hits` counters report). 0 disables the
-    /// throttle. The throttle only suppresses *prefetch* — verdicts are
-    /// still adopted in canonical order — so reduction output is
-    /// byte-identical at any setting.
-    pub speculation_min_hit_permille: u32,
 }
 
 impl ReducerOptions {
@@ -304,8 +260,6 @@ impl Default for ReducerOptions {
             poison_retries: 3,
             prefix_cache_budget: 256,
             memoize_verdicts: false,
-            speculation: 1,
-            speculation_min_hit_permille: 0,
         }
     }
 }
@@ -340,10 +294,7 @@ impl Reducer {
     /// identical prefixes, where sharing is exactly the point. Like the
     /// private cache it is behaviorally invisible: the journal, reduced
     /// sequence and search stats are byte-identical to a private-cache run
-    /// for a deterministic probe; only [`EngineStats`] differ. Confirmed
-    /// search candidates insert at [`InsertPriority::Confirmed`];
-    /// speculative prefetch inserts through the cache's probationary
-    /// segment and can never evict confirmed-path entries.
+    /// for a deterministic probe; only [`EngineStats`] differ.
     /// [`ReducerOptions::prefix_cache_budget`] is ignored while a shared
     /// cache is attached (the shared byte budget governs instead).
     #[must_use]
@@ -389,19 +340,17 @@ impl Reducer {
     }
 
     /// The engine for this reducer's sink configuration.
-    fn engine<'a, P, R, S>(
+    fn engine<'a, P, R>(
         &self,
         original: &'a Context,
         initial: Option<&'a Context>,
         prior: &'a ReductionLog,
         probe: P,
         on_record: R,
-        speculation: S,
-    ) -> Engine<'a, P, R, S>
+    ) -> Engine<'a, P, R>
     where
         P: FnMut(&Context) -> Result<bool, ProbeFault>,
         R: FnMut(usize, ProbeRecord),
-        S: Speculate,
     {
         Engine::new(
             self.options,
@@ -413,7 +362,6 @@ impl Reducer {
             prior,
             probe,
             on_record,
-            speculation,
         )
     }
 
@@ -439,7 +387,7 @@ impl Reducer {
         probe: impl FnMut(&Context) -> Result<bool, ProbeFault>,
         on_record: impl FnMut(usize, ProbeRecord),
     ) -> JournaledReduction {
-        self.engine(original, None, prior, probe, on_record, NoSpeculation).run(sequence)
+        self.engine(original, None, prior, probe, on_record).run(sequence)
     }
 
     /// Like [`Reducer::reduce_journaled`], but seeded with `variant`, the
@@ -462,228 +410,9 @@ impl Reducer {
         probe: impl FnMut(&Context) -> Result<bool, ProbeFault>,
         on_record: impl FnMut(usize, ProbeRecord),
     ) -> JournaledReduction {
-        self.engine(original, Some(variant), prior, probe, on_record, NoSpeculation)
-            .run(sequence)
-    }
-
-    /// Like [`Reducer::reduce_journaled`], but probes a round's upcoming
-    /// chunk-removal candidates concurrently on `pool`, assuming rejections
-    /// (the common case once the sequence is near-minimal).
-    ///
-    /// Verdicts are adopted in canonical back-to-front order, so for a
-    /// *deterministic* probe the [`ReductionLog`], the reduced sequence,
-    /// and [`ReductionStats`] are byte-identical to the serial engine's:
-    /// speculative probes that turn out stale are discarded without being
-    /// journaled and cost no test budget. (For a flaky probe the two
-    /// engines may legitimately diverge — wasted speculative probes consume
-    /// oracle randomness the serial engine never sees.)
-    ///
-    /// The speculation width is [`ReducerOptions::speculation`]; 0 matches
-    /// the pool's thread count. Speculation pauses while `prior` records
-    /// are still being replayed, so resume never re-invokes the probe for
-    /// journaled prefixes.
-    pub fn reduce_speculative<'env, F>(
-        &self,
-        original: &Context,
-        sequence: &[Transformation],
-        prior: &ReductionLog,
-        probe: F,
-        on_record: impl FnMut(usize, ProbeRecord),
-        pool: &WorkerPool<'env>,
-    ) -> JournaledReduction
-    where
-        F: Fn(&Context) -> Result<bool, ProbeFault> + Send + Sync + 'env,
-    {
-        self.speculative_engine(original, sequence, None, prior, probe, on_record, pool)
-    }
-
-    /// [`Reducer::reduce_speculative`] seeded with the full sequence's
-    /// already-materialized `variant` context, with the same contract as
-    /// [`Reducer::reduce_journaled_seeded`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn reduce_speculative_seeded<'env, F>(
-        &self,
-        original: &Context,
-        sequence: &[Transformation],
-        variant: &Context,
-        prior: &ReductionLog,
-        probe: F,
-        on_record: impl FnMut(usize, ProbeRecord),
-        pool: &WorkerPool<'env>,
-    ) -> JournaledReduction
-    where
-        F: Fn(&Context) -> Result<bool, ProbeFault> + Send + Sync + 'env,
-    {
-        self.speculative_engine(original, sequence, Some(variant), prior, probe, on_record, pool)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn speculative_engine<'env, F>(
-        &self,
-        original: &Context,
-        sequence: &[Transformation],
-        initial: Option<&Context>,
-        prior: &ReductionLog,
-        probe: F,
-        on_record: impl FnMut(usize, ProbeRecord),
-        pool: &WorkerPool<'env>,
-    ) -> JournaledReduction
-    where
-        F: Fn(&Context) -> Result<bool, ProbeFault> + Send + Sync + 'env,
-    {
-        let probe = Arc::new(probe);
-        // The auto width (0) clamps to the host's actual parallelism: a
-        // prefetch fleet wider than the CPU count only time-slices one
-        // core — every materialization still runs, but the probes it was
-        // supposed to hide now context-switch against the search thread.
-        // Suppression never changes verdicts, so outputs stay
-        // byte-identical across hosts; on a single-CPU machine the auto
-        // width degenerates to 1 and the engine runs the serial cached
-        // path. An explicit width is honored as given (tests and
-        // experiments deliberately oversubscribe).
-        let host = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
-        let width = match self.options.speculation {
-            0 => pool.threads().min(host),
-            w => w,
-        };
-        let speculation = PoolSpeculation {
-            pool,
-            probe: Arc::clone(&probe),
-            width,
-            hints: HashMap::new(),
-            launched: 0,
-            consumed: 0,
-        };
-        let live = move |ctx: &Context| probe(ctx);
-        self.engine(original, initial, prior, live, on_record, speculation).run(sequence)
+        self.engine(original, Some(variant), prior, probe, on_record).run(sequence)
     }
 }
-
-/// Outcome of one speculative probe run: the probe's answer, or the panic
-/// it raised (re-raised only if the hint is actually consumed — a panic in
-/// a probe the serial engine would never have run stays invisible).
-type SpeculativeOutcome = std::thread::Result<Result<bool, ProbeFault>>;
-
-/// Strategy hook for running probes ahead of the search. The engine calls
-/// [`Speculate::prefetch`] with the contexts of upcoming candidates and
-/// consumes outcomes via [`Speculate::take`] as first-invocation hints.
-trait Speculate {
-    /// Whether prefetching is worth preparing batches for.
-    fn active(&self) -> bool {
-        false
-    }
-    /// How many candidates to batch per prefetch.
-    fn width(&self) -> usize {
-        1
-    }
-    /// Whether outcomes from a previous batch are still pending.
-    fn has_hints(&self) -> bool {
-        false
-    }
-    /// Probes `jobs` (fingerprint, context) concurrently, blocking until
-    /// the batch completes.
-    fn prefetch(&mut self, jobs: Vec<(u64, Context)>) {
-        drop(jobs);
-    }
-    /// Consumes the outcome for `fp`, if one was prefetched.
-    fn take(&mut self, fp: u64) -> Option<SpeculativeOutcome> {
-        let _ = fp;
-        None
-    }
-    /// Discards pending outcomes (the sequence changed; they are stale).
-    fn discard(&mut self) {}
-    /// (probes launched, outcomes consumed).
-    fn counters(&self) -> (u64, u64) {
-        (0, 0)
-    }
-}
-
-/// The serial engine: never prefetches.
-struct NoSpeculation;
-
-impl Speculate for NoSpeculation {}
-
-/// Pool-backed speculation for [`Reducer::reduce_speculative`].
-struct PoolSpeculation<'p, 'env, F> {
-    pool: &'p WorkerPool<'env>,
-    probe: Arc<F>,
-    width: usize,
-    hints: HashMap<u64, SpeculativeOutcome>,
-    launched: u64,
-    consumed: u64,
-}
-
-impl<'env, F> Speculate for PoolSpeculation<'_, 'env, F>
-where
-    F: Fn(&Context) -> Result<bool, ProbeFault> + Send + Sync + 'env,
-{
-    fn active(&self) -> bool {
-        self.width > 1
-    }
-
-    fn width(&self) -> usize {
-        self.width
-    }
-
-    fn has_hints(&self) -> bool {
-        !self.hints.is_empty()
-    }
-
-    fn prefetch(&mut self, jobs: Vec<(u64, Context)>) {
-        let (tx, rx) = channel::<(u64, SpeculativeOutcome)>();
-        let mut expected = 0usize;
-        for (fp, ctx) in jobs {
-            if self.hints.contains_key(&fp) {
-                continue;
-            }
-            let tx = tx.clone();
-            let probe = Arc::clone(&self.probe);
-            let ctx = Arc::new(ctx);
-            self.pool.submit(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| probe(&ctx)));
-                let _ = tx.send((fp, outcome));
-            });
-            expected += 1;
-        }
-        drop(tx);
-        for _ in 0..expected {
-            let (fp, outcome) = rx.recv().expect("pool dropped a speculative outcome");
-            self.hints.insert(fp, outcome);
-            self.launched += 1;
-        }
-    }
-
-    fn take(&mut self, fp: u64) -> Option<SpeculativeOutcome> {
-        let hint = self.hints.remove(&fp);
-        if hint.is_some() {
-            self.consumed += 1;
-        }
-        hint
-    }
-
-    fn discard(&mut self) {
-        self.hints.clear();
-    }
-
-    fn counters(&self) -> (u64, u64) {
-        (self.launched, self.consumed)
-    }
-}
-
-/// [`ReducerOptions`] resolved into the engine's operating parameters.
-/// Prefix-cache lookups observed before the speculation hit-rate throttle
-/// may fire: a cold cache starts at a 0% hit rate, so the floor is only
-/// meaningful once the rate is measurable.
-const SPECULATION_WARMUP_LOOKUPS: u64 = 32;
-
-/// Eviction-pressure ceiling, in permille of insert attempts, above which
-/// speculative prefetch stops launching. Pressure counts evictions plus
-/// outright rejections against insert attempts — a cache past this point
-/// is replacing most of what speculation feeds it, so prefetch replays
-/// cost transformation applications without ever being reusable. The
-/// signal rides on the same switch as the hit-rate throttle
-/// ([`ReducerOptions::speculation_min_hit_permille`] non-zero).
-const SPECULATION_MAX_PRESSURE_PERMILLE: u64 = 500;
 
 /// The engine's prefix-cache handle: a private per-reduction cache (the
 /// default), or a session onto a [`SharedPrefixCache`] shared across the
@@ -702,22 +431,15 @@ impl CacheHandle {
         }
     }
 
-    /// Materializes `candidate` through the cache. `priority` chooses the
-    /// shared cache's insert segment (confirmed vs. probationary) and is
-    /// ignored by the private cache, which has no cross-reduction
-    /// contention to protect against.
     fn materialize_with_ids(
         &mut self,
         original: &Context,
         candidate: &[Transformation],
         ids: &[u64],
-        priority: InsertPriority,
     ) -> Materialized {
         match self {
             CacheHandle::Private(cache) => cache.materialize_with_ids(original, candidate, ids),
-            CacheHandle::Shared(session) => {
-                session.materialize_with_ids(original, candidate, ids, priority)
-            }
+            CacheHandle::Shared(session) => session.materialize_with_ids(original, candidate, ids),
         }
     }
 
@@ -727,41 +449,9 @@ impl CacheHandle {
             CacheHandle::Shared(session) => session.stats(),
         }
     }
-
-    /// `(lookups, hits)` feeding the speculation hit-rate throttle. Like
-    /// the pressure signal, a shared session reads the *global* cache —
-    /// one short reduction sees too few of its own lookups to clear the
-    /// warmup floor, but the cache it walks has a measurable hit rate the
-    /// moment any sibling has warmed it.
-    fn hit_signal(&self) -> (u64, u64) {
-        match self {
-            CacheHandle::Private(cache) => {
-                let stats = cache.stats();
-                (stats.lookups, stats.hits)
-            }
-            CacheHandle::Shared(session) => {
-                let stats = session.cache().stats();
-                (stats.lookups, stats.hits)
-            }
-        }
-    }
-
-    /// Evictions-plus-rejections per insert attempt, in permille. For the
-    /// shared cache this is the *global* churn across every session — the
-    /// whole point of the signal is that one reduction's speculation can
-    /// feel another's working set. The private cache approximates it from
-    /// its own stats (every applied transformation attempts one insert).
-    fn eviction_pressure_permille(&self) -> u64 {
-        match self {
-            CacheHandle::Private(cache) => {
-                let stats = cache.stats();
-                stats.evictions.saturating_mul(1000) / stats.transformations_applied.max(1)
-            }
-            CacheHandle::Shared(session) => session.cache().eviction_pressure_permille(),
-        }
-    }
 }
 
+/// [`ReducerOptions`] resolved into the engine's operating parameters.
 struct Resolved {
     max_tests: usize,
     votes: u32,
@@ -771,25 +461,19 @@ struct Resolved {
     /// `memoize_verdicts` is only sound for 1-of-1 voting (a memo entry is
     /// one probe verdict, not a vote tally), so it is resolved against it.
     memoize: bool,
-    speculation_min_hit_permille: u32,
 }
 
 /// The prefix-memoized reduction engine: one reduction run's state.
 ///
 /// The search itself is a pure function of the probe-record stream; the
-/// cache, memo and speculation layers only change how records are
-/// *produced*, never which records a deterministic run contains.
-struct Engine<'a, P, R, S> {
+/// cache and memo layers only change how records are *produced*, never
+/// which records a deterministic run contains.
+struct Engine<'a, P, R> {
     opts: Resolved,
     sink: SinkHandle,
     scope: Scope,
-    /// Probes that reached the live oracle (neither replayed, memoized,
-    /// nor satisfied by a speculative hint).
+    /// Probes that reached the live oracle (neither replayed nor memoized).
     live_probes: u64,
-    /// Speculative batches suppressed by the hit-rate throttle.
-    speculative_throttles: u64,
-    /// Speculative batches suppressed by the eviction-pressure signal.
-    pressure_throttles: u64,
     /// Cache lookups never paired with a journaled probe (see
     /// [`EngineStats::unprobed_lookups`]).
     unprobed_lookups: u64,
@@ -805,16 +489,14 @@ struct Engine<'a, P, R, S> {
     replay_pos: usize,
     probe: P,
     on_record: R,
-    speculation: S,
     log: ReductionLog,
     stats: ReductionStats,
 }
 
-impl<'a, P, R, S> Engine<'a, P, R, S>
+impl<'a, P, R> Engine<'a, P, R>
 where
     P: FnMut(&Context) -> Result<bool, ProbeFault>,
     R: FnMut(usize, ProbeRecord),
-    S: Speculate,
 {
     #[allow(clippy::too_many_arguments)]
     fn new(
@@ -827,7 +509,6 @@ where
         prior: &'a ReductionLog,
         probe: P,
         on_record: R,
-        speculation: S,
     ) -> Self {
         let votes = options.votes.max(1);
         let mut cache = match shared_cache {
@@ -843,13 +524,10 @@ where
                 poison_retries: options.poison_retries.max(1),
                 shrink_added_functions: options.shrink_added_functions,
                 memoize: options.memoize_verdicts && votes == 1,
-                speculation_min_hit_permille: options.speculation_min_hit_permille,
             },
             sink,
             scope,
             live_probes: 0,
-            speculative_throttles: 0,
-            pressure_throttles: 0,
             unprobed_lookups: 0,
             original,
             initial,
@@ -860,7 +538,6 @@ where
             replay_pos: 0,
             probe,
             on_record,
-            speculation,
             log: ReductionLog::new(),
             stats: ReductionStats::default(),
         }
@@ -876,7 +553,7 @@ where
 
     /// One probe invocation. Sources, in priority order: the replayed
     /// journal prefix; on a query's first invocation only, the verdict
-    /// memo, then a speculative hint; finally the live probe.
+    /// memo; finally the live probe.
     fn invoke(&mut self, ctx: &Context, fp: Option<u64>, first: bool) -> ProbeRecord {
         if self.replay_pos < self.prior.records.len() {
             let record = self.prior.records[self.replay_pos];
@@ -884,25 +561,10 @@ where
             self.log.records.push(record);
             return record;
         }
-        if first {
-            if let Some(fp) = fp {
-                if self.opts.memoize {
-                    if let Some(&verdict) = self.memo.get(&fp) {
-                        self.memo_hits += 1;
-                        return self.emit(ProbeRecord::Answered(verdict));
-                    }
-                }
-                if let Some(outcome) = self.speculation.take(fp) {
-                    let record = match outcome {
-                        Ok(Ok(verdict)) => ProbeRecord::Answered(verdict),
-                        Ok(Err(_)) => ProbeRecord::Faulted,
-                        // The serial engine would have run this probe on
-                        // the search thread; re-raise where it would have
-                        // panicked.
-                        Err(payload) => resume_unwind(payload),
-                    };
-                    return self.emit(record);
-                }
+        if first && self.opts.memoize {
+            if let Some(&verdict) = fp.and_then(|fp| self.memo.get(&fp)) {
+                self.memo_hits += 1;
+                return self.emit(ProbeRecord::Answered(verdict));
             }
         }
         self.live_probes += 1;
@@ -985,12 +647,7 @@ where
     /// The verdict is `None` when the test budget ran out; the context is
     /// always returned, so callers never replay the sequence again.
     fn check(&mut self, candidate: &[Transformation], ids: &[u64]) -> (Option<bool>, Context) {
-        let m = self.cache.materialize_with_ids(
-            self.original,
-            candidate,
-            ids,
-            InsertPriority::Confirmed,
-        );
+        let m = self.cache.materialize_with_ids(self.original, candidate, ids);
         let fp = self.resolve_fp(&m);
         let journaled = self.log.records.len();
         let verdict = self.query(&m.context, fp);
@@ -1005,87 +662,10 @@ where
 
     /// The fingerprint accompanying a materialized candidate: the cache's,
     /// or computed on demand when a cache-less run still needs one for the
-    /// memo or speculation hints.
-    fn resolve_fp(&self, m: &trx_core::Materialized) -> Option<u64> {
-        m.fingerprint.or_else(|| {
-            (self.opts.memoize || self.speculation.active())
-                .then(|| context_fingerprint(&m.context))
-        })
-    }
-
-    /// Launches the next batch of speculative probes: the chunk-removal
-    /// candidates the back-to-front round will try next, assuming every
-    /// probe up to them answers "not interesting" (rejections keep the
-    /// sequence unchanged, so those candidates are exactly predictable).
-    fn maybe_prefetch(&mut self, current: &[Transformation], ids: &[u64], end: usize, chunk: usize) {
-        if !self.speculation.active() || self.speculation.has_hints() {
-            return;
-        }
-        // Never speculate while replaying a journal: replayed queries must
-        // not re-invoke the probe at all.
-        if self.replay_pos < self.prior.records.len() {
-            return;
-        }
-        // Hit-rate throttle: once the cache has warmed up, a hit rate below
-        // the configured floor means speculative replays are thrashing the
-        // LRU edge budget — stop launching new batches until it recovers.
-        // Suppressing prefetch never changes verdicts, only who computes
-        // them, so the reduction output stays byte-identical.
-        if self.opts.speculation_min_hit_permille > 0 {
-            let (lookups, hits) = self.cache.hit_signal();
-            if lookups >= SPECULATION_WARMUP_LOOKUPS
-                && hits.saturating_mul(1000)
-                    < lookups.saturating_mul(u64::from(self.opts.speculation_min_hit_permille))
-            {
-                self.speculative_throttles += 1;
-                return;
-            }
-            // Eviction-pressure signal: a cache churning through most of
-            // what it admits (shared caches feel every session's churn
-            // here) gains nothing from eager prefetch replays — they only
-            // displace entries the confirmed path still wants.
-            if lookups >= SPECULATION_WARMUP_LOOKUPS
-                && self.cache.eviction_pressure_permille() > SPECULATION_MAX_PRESSURE_PERMILLE
-            {
-                self.pressure_throttles += 1;
-                return;
-            }
-        }
-        let width = self.speculation.width();
-        let mut jobs = Vec::new();
-        let mut seen = HashSet::new();
-        let mut e = end;
-        while e > 0 && jobs.len() < width {
-            let s = e.saturating_sub(chunk);
-            let mut candidate = Vec::with_capacity(current.len() - (e - s));
-            candidate.extend_from_slice(&current[..s]);
-            candidate.extend_from_slice(&current[e..]);
-            let cand_ids: Vec<u64> = ids[..s].iter().chain(&ids[e..]).copied().collect();
-            // Prefetch materializations insert speculatively: on the shared
-            // cache they pass through the probationary segment and can
-            // never displace confirmed-path entries. The later confirmed
-            // check() re-looks the candidate up and journals the probe;
-            // this lookup itself is never journaled.
-            let m = self.cache.materialize_with_ids(
-                self.original,
-                &candidate,
-                &cand_ids,
-                InsertPriority::Speculative,
-            );
-            self.unprobed_lookups += 1;
-            let fp = m
-                .fingerprint
-                .unwrap_or_else(|| context_fingerprint(&m.context));
-            // Contexts the memo already answers never need a probe; a
-            // duplicate fingerprint within the batch needs only one.
-            if !(self.opts.memoize && self.memo.contains_key(&fp)) && seen.insert(fp) {
-                jobs.push((fp, m.context));
-            }
-            e = s;
-        }
-        if !jobs.is_empty() {
-            self.speculation.prefetch(jobs);
-        }
+    /// memo.
+    fn resolve_fp(&self, m: &Materialized) -> Option<u64> {
+        m.fingerprint
+            .or_else(|| self.opts.memoize.then(|| context_fingerprint(&m.context)))
     }
 
     /// The §3.4 delta-debugging search, followed by the optional payload
@@ -1103,8 +683,7 @@ where
         // needs.
         let (initial_verdict, initial_ctx) = match self.initial {
             Some(ctx) => {
-                let fp = (self.opts.memoize || self.speculation.active())
-                    .then(|| context_fingerprint(ctx));
+                let fp = self.opts.memoize.then(|| context_fingerprint(ctx));
                 (self.query(ctx, fp), ctx.clone())
             }
             None => self.check(&current, &ids),
@@ -1124,7 +703,6 @@ where
             let mut end = current.len();
             while end > 0 {
                 let start = end.saturating_sub(chunk_size);
-                self.maybe_prefetch(&current, &ids, end, chunk_size);
                 let mut candidate = Vec::with_capacity(current.len() - (end - start));
                 candidate.extend_from_slice(&current[..start]);
                 candidate.extend_from_slice(&current[end..]);
@@ -1138,10 +716,7 @@ where
                         current_ctx = ctx;
                         self.stats.chunks_removed += 1;
                         removed_any = true;
-                        // Continue leftwards over the shortened sequence;
-                        // pending speculative outcomes assumed the old
-                        // sequence and are stale.
-                        self.speculation.discard();
+                        // Continue leftwards over the shortened sequence.
                         end = start.min(current.len());
                     }
                     Some(false) => {
@@ -1207,12 +782,8 @@ where
                     candidate[index] = Transformation::AddFunction(candidate_payload.clone());
                     let mut cand_ids = ids.clone();
                     cand_ids[index] = transformation_id(&candidate[index]);
-                    let m = self.cache.materialize_with_ids(
-                        self.original,
-                        &candidate,
-                        &cand_ids,
-                        InsertPriority::Confirmed,
-                    );
+                    let m =
+                        self.cache.materialize_with_ids(self.original, &candidate, &cand_ids);
                     // The shrunken payload must still apply — otherwise the
                     // variant silently loses the whole function. Skipped
                     // candidates cost a lookup but never a probe.
@@ -1245,14 +816,9 @@ where
     }
 
     fn finish(self, sequence: Vec<Transformation>, context: Context) -> JournaledReduction {
-        let (speculative_probes, speculative_hits) = self.speculation.counters();
         let engine = EngineStats {
             cache: self.cache.stats(),
             memo_hits: self.memo_hits,
-            speculative_probes,
-            speculative_hits,
-            speculative_throttles: self.speculative_throttles,
-            speculative_pressure_throttles: self.pressure_throttles,
             unprobed_lookups: self.unprobed_lookups,
         };
         if self.sink.enabled() {
@@ -1273,17 +839,7 @@ where
             // resume because replayed probes skip live work).
             self.sink.count(scope, Counter::MemoHits, engine.memo_hits);
             self.sink.count(scope, Counter::LiveProbes, self.live_probes);
-            self.sink.count(scope, Counter::SpeculativeLaunches, engine.speculative_probes);
-            self.sink.count(scope, Counter::SpeculativeHits, engine.speculative_hits);
-            self.sink.count(scope, Counter::SpeculativeThrottles, engine.speculative_throttles);
             self.sink.count(scope, Counter::CacheUnprobedLookups, engine.unprobed_lookups);
-            // Volatile: pressure reads global shared-cache churn, which
-            // depends on sibling-reduction timing.
-            self.sink.count(
-                scope,
-                Counter::SpeculativePressureThrottles,
-                engine.speculative_pressure_throttles,
-            );
         }
         JournaledReduction {
             reduction: Reduction { sequence, context, stats: self.stats, engine },
@@ -1887,7 +1443,7 @@ mod shrink_tests {
 
     #[test]
     fn unprobed_lookups_reconcile_cache_lookups_with_the_journal() {
-        // Unseeded, 1-of-1, deterministic, no speculation: every cache
+        // Unseeded, 1-of-1 and deterministic: every cache
         // lookup either journals exactly one probe record or lands on the
         // unprobed ledger — the shrink phase's mask-skipped candidates are
         // the interesting source.
@@ -1981,41 +1537,6 @@ mod shared_cache_tests {
             first.engine.cache.transformations_applied,
         );
         assert!(second.engine.cache.transformations_saved > 0);
-    }
-
-    #[test]
-    fn speculative_shared_cache_is_byte_identical_even_under_pressure() {
-        let ctx = tiny_context();
-        let helper = helper_of(&ctx);
-        let sequence = flip_sequence(&ctx, 17);
-        let oracle = move |variant: &Context| {
-            Ok(variant.module.function(helper).unwrap().control == FunctionControl::DontInline)
-        };
-        let reference = Reducer::default().reduce_journaled(
-            &ctx,
-            &sequence,
-            &ReductionLog::new(),
-            oracle,
-            |_, _| {},
-        );
-        // A deliberately tiny shared budget: inserts churn, eviction
-        // pressure spikes, and probationary inserts self-reject — none of
-        // which may move a byte of the reduction output.
-        let cache = Arc::new(SharedPrefixCache::new(2048, 2));
-        let got = trx_pool::with_pool(3, |pool| {
-            Reducer::new(ReducerOptions {
-                speculation: 4,
-                speculation_min_hit_permille: 200,
-                ..ReducerOptions::default()
-            })
-            .with_shared_cache(Arc::clone(&cache))
-            .reduce_speculative(&ctx, &sequence, &ReductionLog::new(), oracle, |_, _| {}, pool)
-        });
-        assert_eq!(got.log, reference.log, "speculation over the shared cache moved the journal");
-        assert_eq!(got.reduction.sequence, reference.reduction.sequence);
-        assert_eq!(got.reduction.stats, reference.reduction.stats);
-        assert_eq!(got.reduction.context.module, reference.reduction.context.module);
-        cache.debug_check_accounting();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The engine's caching layers must be *behaviorally invisible*: for every
 //! cache budget (including 0 and 1), and — for deterministic probes — with
-//! verdict memoization and speculative parallel probing enabled, a
+//! verdict memoization or a seeded initial context, a
 //! reduction must produce a byte-identical [`ReductionLog`], reduced
 //! sequence, [`trx_reducer::ReductionStats`], and final context compared
 //! to the serial budget-0 reference engine. Resume from any journal
@@ -16,7 +16,6 @@ use trx_core::transformations::{AddConstant, SetFunctionControl};
 use trx_core::{context_fingerprint, Context, SharedPrefixCache, Transformation};
 use trx_ir::{ConstantValue, FunctionControl, Id, Inputs, ModuleBuilder, Type};
 use trx_observe::{Counter, MetricsReport, RecordingSink, Scope, SinkHandle};
-use trx_pool::with_pool;
 use trx_reducer::{
     JournaledReduction, ProbeFault, Reducer, ReducerOptions, ReductionLog,
 };
@@ -136,7 +135,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn cached_memoized_and_speculative_engines_match_serial(
+    fn cached_memoized_and_seeded_engines_match_serial(
         genes in vec(0u8..=15, 0..=18),
         fault_salt in 0u64..=u64::MAX,
         fault_every in 0u64..=6,
@@ -173,7 +172,6 @@ proptest! {
             poison_retries: 2,
             prefix_cache_budget: 0,
             memoize_verdicts: false,
-            speculation: 1,
             ..ReducerOptions::default()
         }
         .with_votes(votes_required, votes);
@@ -197,7 +195,7 @@ proptest! {
             reference.reduction.stats.tests_run,
             "sink and stats disagree on tests_run"
         );
-        // Without memo, speculation, or replayed prefix, every journal
+        // Without memo or replayed prefix, every journal
         // record is one live oracle invocation (faulted attempts included).
         prop_assert_eq!(
             reference_metrics.total(Counter::LiveProbes) as usize,
@@ -275,58 +273,6 @@ proptest! {
         );
         assert_same("seeded", &seeded, &reference)?;
 
-        // Speculative probing adopts verdicts in canonical order, so the
-        // bytes match the serial engine at every width — and so do the
-        // logical counters, which is the cross-engine oracle the pipeline
-        // invariant suite leans on.
-        for width in [2usize, 5] {
-            let (spec_sink, spec_handle) = recording();
-            let got = with_pool(3, |pool| {
-                let reducer = Reducer::new(ReducerOptions {
-                    prefix_cache_budget: 64,
-                    memoize_verdicts: knobs % 4 == 1,
-                    speculation: width,
-                    ..base_opts
-                })
-                .with_sink(spec_handle.clone(), Scope::Reduction(0));
-                // One width per case also exercises the seeded entry point.
-                if width == 5 {
-                    reducer.reduce_speculative_seeded(
-                        &original,
-                        &sequence,
-                        &variant,
-                        &ReductionLog::new(),
-                        probe,
-                        |_, _| {},
-                        pool,
-                    )
-                } else {
-                    reducer.reduce_speculative(
-                        &original,
-                        &sequence,
-                        &ReductionLog::new(),
-                        probe,
-                        |_, _| {},
-                        pool,
-                    )
-                }
-            });
-            assert_same(&format!("speculation {width}"), &got, &reference)?;
-            let metrics = spec_sink.snapshot();
-            prop_assert_eq!(
-                logical_counters(&metrics),
-                logical_counters(&reference_metrics),
-                "speculation {}: logical counters diverged from serial", width
-            );
-            // A speculative verdict can only be consumed after it was
-            // launched, so hits are bounded by launches.
-            prop_assert!(
-                metrics.total(Counter::SpeculativeHits)
-                    <= metrics.total(Counter::SpeculativeLaunches),
-                "speculation {}: more hits than launches", width
-            );
-        }
-
         // Kill/resume: replaying any journal prefix of the memoized run
         // reproduces the remaining records bit-identically.
         let golden = run_serial(ReducerOptions {
@@ -354,14 +300,15 @@ proptest! {
     /// byte-identical to the serial budget-0 reference — cache *contents*
     /// may depend on thread timing, reduced *outputs* may not. Exercised at
     /// 1, 4 and 8 concurrent reducers over roomy and deliberately
-    /// pathological budgets (1 byte rejects every insert), plus kill/resume
-    /// against a cache warmed by a previous incarnation.
+    /// pathological budgets (1 byte rejects every insert, 2 KiB churns
+    /// evictions), plus kill/resume against a cache warmed by a previous
+    /// incarnation.
     #[test]
     fn shared_cache_reducers_match_serial_at_1_4_and_8_threads(
         genes in vec(0u8..=15, 0..=14),
         fault_salt in 0u64..=u64::MAX,
         fault_every in 0u64..=6,
-        budget_pick in 0usize..3,
+        budget_pick in 0usize..4,
         shards in 1usize..5,
     ) {
         let original = base_context();
@@ -393,7 +340,7 @@ proptest! {
             |_, _| {},
         );
 
-        let budget = [1usize, 64 << 10, 1 << 20][budget_pick];
+        let budget = [1usize, 2048, 64 << 10, 1 << 20][budget_pick];
         for threads in [1usize, 4, 8] {
             let cache = Arc::new(SharedPrefixCache::new(budget, shards));
             let results: Vec<JournaledReduction> = std::thread::scope(|s| {
@@ -555,76 +502,4 @@ fn memo_skips_live_probes_for_repeat_contexts() {
         plain_metrics.total(Counter::LiveProbes),
     );
     assert_eq!(memo_metrics.total(Counter::TestsRun), plain_metrics.total(Counter::TestsRun));
-}
-
-/// The speculation hit-rate throttle suppresses prefetch launches (and the
-/// eviction churn they cause) when the prefix cache keeps missing, without
-/// moving a single byte of the reduction output.
-#[test]
-fn speculation_throttle_suppresses_launches_without_changing_bytes() {
-    let original = base_context();
-    let genes: Vec<u8> = (0..28u8).map(|i| [1, 2, 3, 0][usize::from(i) % 4]).collect();
-    let sequence = decode(&original, &genes);
-    let needed = {
-        let mut full = original.clone();
-        trx_core::apply_sequence(&mut full, &sequence);
-        full.module.constants.len()
-    };
-    let probe =
-        move |ctx: &Context| -> Result<bool, ProbeFault> { Ok(ctx.module.constants.len() >= needed) };
-    // Budget 1 keeps the hit rate on the floor, so a speculative run
-    // thrashes the cache — exactly the pathology the throttle targets.
-    let run = |min_hit_permille: u32| {
-        let (sink, handle) = recording();
-        let out = with_pool(3, |pool| {
-            Reducer::new(ReducerOptions {
-                shrink_added_functions: false,
-                prefix_cache_budget: 1,
-                speculation: 4,
-                speculation_min_hit_permille: min_hit_permille,
-                ..ReducerOptions::default()
-            })
-            .with_sink(handle, Scope::Reduction(0))
-            .reduce_speculative(&original, &sequence, &ReductionLog::new(), probe, |_, _| {}, pool)
-        });
-        (out, sink.snapshot())
-    };
-    let (free, free_metrics) = run(0);
-    // A floor above 1000 permille can never be satisfied: every post-warmup
-    // batch is suppressed, which pins the throttle's worst case.
-    let (throttled, throttled_metrics) = run(1001);
-
-    assert_eq!(free.log, throttled.log, "throttle must not change the journal");
-    assert_eq!(free.reduction.sequence, throttled.reduction.sequence);
-    assert_eq!(free.reduction.stats, throttled.reduction.stats);
-    assert_eq!(free.reduction.context.module, throttled.reduction.context.module);
-
-    assert!(
-        throttled.reduction.engine.speculative_throttles > 0,
-        "throttle never fired on a thrashing cache"
-    );
-    assert!(
-        throttled.reduction.engine.speculative_probes
-            < free.reduction.engine.speculative_probes,
-        "throttle suppressed no launches: {} vs {}",
-        throttled.reduction.engine.speculative_probes,
-        free.reduction.engine.speculative_probes,
-    );
-    assert!(
-        throttled.reduction.engine.cache.evictions < free.reduction.engine.cache.evictions,
-        "throttle saved no evictions: {} vs {}",
-        throttled.reduction.engine.cache.evictions,
-        free.reduction.engine.cache.evictions,
-    );
-    // The recorded counters agree with the engine's own statistics.
-    assert_eq!(
-        throttled_metrics.total(Counter::SpeculativeThrottles),
-        throttled.reduction.engine.speculative_throttles
-    );
-    assert_eq!(free_metrics.total(Counter::SpeculativeThrottles), 0);
-    assert_eq!(
-        logical_counters(&free_metrics),
-        logical_counters(&throttled_metrics),
-        "logical counters must not see the throttle"
-    );
 }

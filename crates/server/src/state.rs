@@ -696,7 +696,8 @@ impl StateStore {
     }
 
     /// Signatures known so far, in the map shape
-    /// [`trx_harness::pipeline::run_pipeline_with_known`] consumes.
+    /// [`trx_harness::pipeline::run_pipeline_with_known_observed_cached`]
+    /// consumes.
     #[must_use]
     pub fn known(&self) -> KnownSignatures {
         self.state

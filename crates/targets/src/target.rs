@@ -107,7 +107,6 @@ pub struct Target {
     pipeline: Vec<PassKind>,
     bugs: Vec<InjectedBug>,
     exec_config: ExecConfig,
-    fast_interp: bool,
 }
 
 impl Target {
@@ -127,19 +126,7 @@ impl Target {
             pipeline,
             bugs,
             exec_config: ExecConfig::default(),
-            fast_interp: false,
         }
-    }
-
-    /// Returns the target with compiled code run on the pre-decoded
-    /// two-phase interpreter instead of the reference stepper. The fast
-    /// engine is execution-equivalent by contract (the `interp_equivalence`
-    /// suite pins byte-identical results and faults), so classification is
-    /// unchanged — only probe wall-clock moves.
-    #[must_use]
-    pub fn with_fast_interp(mut self) -> Self {
-        self.fast_interp = true;
-        self
     }
 
     /// Returns the target with the interpreter budget replaced — the knob a
@@ -269,13 +256,7 @@ impl Target {
         match self.compile(module) {
             CompileOutcome::Crash { signature, .. } => TargetResult::CompilerCrash(signature),
             CompileOutcome::Success { module, .. } => {
-                let run = if self.fast_interp {
-                    interp::fast::CompiledModule::compile(&module, self.exec_config)
-                        .execute(inputs)
-                } else {
-                    interp::execute_with_config(&module, inputs, self.exec_config)
-                };
-                match run {
+                match interp::execute_with_config(&module, inputs, self.exec_config) {
                     Ok(execution) => TargetResult::Executed(execution),
                     Err(fault) => TargetResult::RuntimeFault(fault),
                 }
